@@ -7,7 +7,7 @@
 //	iddsolve -list-solvers
 //	iddsolve -method vns -budget 30s tpch.json
 //	iddsolve -method cp -budget 60s -prune tpch13.json
-//	iddsolve -method cp -param cp.workers=8 tpch16.json
+//	iddsolve -method cp -param cp.tail_bound=false tpch16.json
 //	iddsolve -method greedy tpcds.json
 //	iddsolve -method portfolio -workers 8 -budget 30s tpcds.json
 //	iddsolve -method portfolio -json r13.json | jq .objective
@@ -75,7 +75,6 @@ import (
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/backend"
-	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
@@ -94,9 +93,6 @@ type solveOutcome struct {
 	// otherwise whether an optimality proof landed.
 	proved *bool
 	winner string
-	// workers is the internal parallelism the backend reported (cp's
-	// branch-and-bound goroutines; 0 = not reported).
-	workers int
 	// counters are the engine counters of the solving backend (the
 	// portfolio winner's, or the standalone backend's): cp's node and
 	// prune-cause breakdown, the local searches' steps/accepted/adopted.
@@ -113,7 +109,6 @@ func main() {
 		curve    = flag.Bool("curve", false, "print the per-step improvement curve")
 		jsonOut  = flag.Bool("json", false, "emit one JSON object instead of the text report")
 		workers  = flag.Int("workers", 0, "portfolio: concurrent backends (0 = GOMAXPROCS)")
-		cpWork   = flag.Int("cp-workers", 0, "deprecated alias of -param cp.workers=N")
 		solvers  = flag.String("solvers", "", "portfolio: comma-separated backend list (empty = auto; available: "+strings.Join(portfolio.Names(), ",")+")")
 		warmFrom = flag.String("warm-start-from", "", "seed the search from a prior -json report (or a JSON array of index names), repaired against this instance")
 		trace    = flag.Bool("trace", false, "record a flight-recorder trace and print its span timeline after the report")
@@ -136,9 +131,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// Deprecated -cp-workers alias; an explicit -param wins (even
-	// -param cp.workers=0, which forces the serial engine).
-	params = params.WithIntFallback(cp.ParamWorkers, *cpWork)
 	startProfiles(*cpuProf, *memProf)
 	in, err := codec.LoadFile(flag.Arg(0))
 	if err != nil {
@@ -281,7 +273,6 @@ type jsonReport struct {
 	FinalRuntime float64   `json:"final_runtime"`
 	Proved       *bool     `json:"proved,omitempty"`
 	Winner       string    `json:"winner,omitempty"`
-	Workers      int       `json:"workers,omitempty"`
 	Interrupted  bool      `json:"interrupted,omitempty"`
 	ElapsedMS    int64     `json:"elapsed_ms"`
 	Order        []int     `json:"order"`
@@ -316,7 +307,6 @@ func printJSON(in *model.Instance, c *model.Compiled, method string, order []int
 		FinalRuntime: final,
 		Proved:       outcome.proved,
 		Winner:       outcome.winner,
-		Workers:      outcome.workers,
 		Interrupted:  interrupted,
 		ElapsedMS:    elapsed.Milliseconds(),
 		Order:        order,
@@ -524,14 +514,11 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 			// always reports a feasible schedule.
 			order = greedy.Solve(c, cs)
 		}
-		oc := solveOutcome{workers: out.Workers, counters: out.Counters}
+		oc := solveOutcome{counters: out.Counters}
 		if info.Proves {
 			proved := out.Proved
 			oc.proved = &proved
 			oc.note = provedNote(proved)
-		}
-		if out.Workers > 1 {
-			oc.note += fmt.Sprintf(" [%d workers]", out.Workers)
 		}
 		return order, oc
 	}

@@ -13,15 +13,15 @@
 // evaluation core" for the layer diagram and which consumer uses which
 // API.
 //
-// Optimality proofs come from the CP engine in internal/solver/cp: a
-// branch-and-prune DFS that, given a worker budget (cp.Options.Workers,
-// CLI -param cp.workers=N), scales out as a work-stealing parallel
-// branch-and-bound — frontier subproblems split at shallow depths into
-// per-worker deques, one pooled Walker per worker repositioned with
-// Sync on steal, a shared atomic incumbent bridged to the portfolio
-// store, and global open-subproblem accounting so a drained frontier
-// still certifies the optimum. See README.md's "Parallel proof search"
-// subsection for the split/steal/proof protocol.
+// Optimality proofs come from two exact engines. internal/solver/astar
+// searches the 2^n lattice of deployed sets (a prefix affects its
+// completion only through its set) and proves every instance it can
+// hold in memory; internal/solver/cp is a serial, deterministic
+// branch-and-prune DFS with an allocation-free descent loop and the
+// §5.5 tail bound (-param cp.tail_bound), which proves small instances,
+// serves as LNS's sub-solver, and keeps improving incumbents on
+// instances of any size. See README.md's "CP proof search" subsection
+// for the A*-versus-CP ladder.
 //
 // The solvers plug into everything else through the self-describing
 // registry in internal/solver/backend: each solver package registers a
@@ -37,10 +37,10 @@
 // stdlib-only metrics and tracing core (atomic counters, labeled
 // vectors, fixed-bucket histograms, a sliding-window rate, bounded span
 // traces, and JSON plus Prometheus text-format rendering with its own
-// exposition linter). The CP engine counts its search per worker —
-// nodes, the prune-cause breakdown (incumbent bound / tail bound /
-// infeasible, summing exactly to fails), steal telemetry — merged once
-// per solve so the allocation-free guarantees hold with counters live;
+// exposition linter). The CP engine counts its search — nodes and the
+// prune-cause breakdown (incumbent bound / tail bound / infeasible,
+// summing exactly to fails) — in plain ints on the descent path, so the
+// allocation-free guarantees hold with counters live;
 // results surface the counters through backend.Outcome and
 // portfolio.BackendResult into iddsolve -json and the service API. Each
 // service job additionally records a flight-recorder trace (queued →
@@ -72,11 +72,9 @@
 // finished results and in-flight incumbents replicate through a
 // last-writer-wins merge ordered by (objective, Lamport clock) —
 // commutative, associative, idempotent, property-tested under random
-// delivery orders — and idle nodes steal open CP-proof subtrees from
-// busy peers as deployment-prefix frames, with the donor's
-// open-subproblem ledger keeping the optimality certificate sound
-// across helper failures. See README.md's "Distributed cluster" and
-// the examples/cluster docker-compose walkthrough.
+// delivery orders — so a remote incumbent tightens the bound of a
+// local solve of the same instance. See README.md's "Distributed
+// cluster" and the examples/cluster docker-compose walkthrough.
 //
 // The public surface lives in the commands (cmd/iddgen, cmd/iddsolve,
 // cmd/iddinspect, cmd/iddbench, cmd/iddserver, cmd/iddload) and the

@@ -1,6 +1,7 @@
 package idd_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,26 +61,45 @@ func TestCLIIntegration(t *testing.T) {
 	}
 
 	// Registry surfaces: the roster listing, -param plumbing down to the
-	// cp engine (visible as workers telemetry in the JSON report), and
-	// the deprecated -cp-workers alias.
+	// cp engine (visible as its pruned_tail counter in the JSON report),
+	// exit code 2 with the valid set for unknown params, and the exact
+	// flag set.
 	out = run("iddsolve", "-list-solvers")
-	for _, want := range []string{"cp.workers", "cp.tail_bound", "vns", "exact", "anytime"} {
+	for _, want := range []string{"cp.tail_bound", "vns", "exact", "anytime"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("iddsolve -list-solvers missing %q:\n%s", want, out)
 		}
 	}
-	out = run("iddsolve", "-json", "-method", "cp", "-param", "cp.workers=2", "-budget", "10s", inst)
-	if !strings.Contains(out, `"workers": 2`) {
-		t.Errorf("-param cp.workers=2 did not reach the cp engine:\n%s", out)
+	out = run("iddsolve", "-json", "-method", "cp", "-param", "cp.tail_bound=false", "-budget", "10s", inst)
+	if !strings.Contains(out, `"pruned_tail": 0`) {
+		t.Errorf("-param cp.tail_bound=false did not reach the cp engine:\n%s", out)
 	}
-	out = run("iddsolve", "-json", "-method", "cp", "-cp-workers", "2", "-budget", "10s", inst)
-	if !strings.Contains(out, `"workers": 2`) {
-		t.Errorf("deprecated -cp-workers did not reach the cp engine:\n%s", out)
+	fails := func(wantMsg string, args ...string) {
+		t.Helper()
+		raw, err := exec.Command(filepath.Join(bin, "iddsolve"), args...).CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Errorf("iddsolve %v: want exit 2, got %v:\n%s", args, err, raw)
+		}
+		if !strings.Contains(string(raw), wantMsg) {
+			t.Errorf("iddsolve %v: error missing %q:\n%s", args, wantMsg, raw)
+		}
 	}
-	if raw, err := exec.Command(filepath.Join(bin, "iddsolve"), "-param", "nope=1", inst).CombinedOutput(); err == nil {
-		t.Errorf("iddsolve accepted an unknown -param:\n%s", raw)
-	} else if !strings.Contains(string(raw), "cp.workers") {
-		t.Errorf("unknown -param error does not list the valid set:\n%s", raw)
+	fails("valid params: cp.tail_bound", "-param", "nope=1", inst)
+	fails(`unknown param "cp.workers" (valid params: cp.tail_bound)`, "-method", "cp", "-param", "cp.workers=2", inst)
+
+	// The flag surface is exactly this set: removed aliases stay gone
+	// and nothing is added unnoticed.
+	var flags []string
+	for _, line := range strings.Split(run("iddsolve", "-h"), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(line, "  -") {
+			flags = append(flags, f[0])
+		}
+	}
+	wantFlags := "-budget -cpuprofile -curve -json -list-solvers -memprofile -method -param " +
+		"-prune -seed -solvers -trace -trace-json -warm-start-from -workers"
+	if got := strings.Join(flags, " "); got != wantFlags {
+		t.Errorf("iddsolve flags changed:\n got  %s\n want %s", got, wantFlags)
 	}
 
 	// Text format round trip through the tools.

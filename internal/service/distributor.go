@@ -1,13 +1,6 @@
 package service
 
-import (
-	"time"
-
-	"github.com/evolving-olap/idd/internal/constraint"
-	"github.com/evolving-olap/idd/internal/model"
-	"github.com/evolving-olap/idd/internal/solver/backend"
-	"github.com/evolving-olap/idd/internal/solver/portfolio"
-)
+import "github.com/evolving-olap/idd/internal/solver/portfolio"
 
 // Distributor is the seam between the job manager and the distributed
 // solve cluster (internal/cluster). The manager stays cluster-agnostic:
@@ -15,7 +8,7 @@ import (
 // nothing below this interface exists and execution is byte-for-byte
 // the pre-cluster behavior. When set, every executing solve is
 // announced through SolveStarted so the cluster can feed remote
-// incumbents into its store, export its CP frontier to idle peers, and
+// incumbents into its store, broadcast local improvements, and
 // replicate its finished result.
 type Distributor interface {
 	// SolveStarted registers a solve that is about to execute and
@@ -37,37 +30,17 @@ type SolveStart struct {
 	Key string
 	// Hash is the instance's canonical hash (the cluster routing key).
 	Hash string
-	// Compiled and Constraints are the canonical compiled instance and
-	// the constraint set the solve runs under (pruning-derived edges
-	// included) — everything a helper node needs to reproduce the
-	// search space bit-identically.
-	Compiled    *model.Compiled
-	Constraints *constraint.Set
-	// Prune reports whether Constraints came from the pruning analysis
-	// (helpers re-derive the identical set from the canonical instance).
-	Prune bool
-	// Canon is the canonical instance itself, for shipping to helpers.
-	Canon *model.Instance
 	// Store is the live shared incumbent store for this solve. Remote
 	// incumbents go in through Store.Offer (feasibility-validated);
 	// every backend on this node prunes against whatever it holds.
 	Store *portfolio.Store
-	// Deadline is when the solve's budget expires.
-	Deadline time.Time
 }
 
 // DistributedSolve is the cluster's handle bundle for one live solve.
 type DistributedSolve interface {
-	// Exporter is passed to the portfolio as Options.Exporter (may
-	// return nil for "don't export this solve"). Backends with
-	// distributable searches attach their backend.WorkSource through
-	// it.
-	Exporter() func(ws backend.WorkSource) (release func())
 	// Improved observes every local incumbent improvement (order in
 	// canonical index space, a private copy) for broadcast to peers.
 	Improved(order []int, objective float64)
-	// Done unregisters the solve; no hook fires after it returns and
-	// the cluster stops touching any WorkSource attached during the
-	// run.
+	// Done unregisters the solve; no hook fires after it returns.
 	Done()
 }

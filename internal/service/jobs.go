@@ -19,7 +19,6 @@ import (
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/backend"
-	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
 
@@ -47,15 +46,9 @@ type Config struct {
 	MaxFinishedJobs int
 	// DefaultParams are server-wide backend params applied to every
 	// solve unless the request sets the same key itself (e.g.
-	// "cp.workers" to size proof parallelism to the machine — it
-	// multiplies the goroutines a single job may run, so size
-	// Workers × cp.workers together).
+	// "cp.tail_bound": false to skip tail-table preprocessing on a
+	// fleet of huge instances).
 	DefaultParams backend.Params
-	// CPWorkers is a deprecated alias for DefaultParams["cp.workers"];
-	// an explicit DefaultParams entry wins.
-	//
-	// Deprecated: set DefaultParams["cp.workers"] instead.
-	CPWorkers int
 	// TenantRate is the sustained per-tenant submission rate
 	// (jobs/second; 0 = unlimited). TenantBurst sizes the token bucket
 	// (0 = 2×rate+1). Excess submissions are rejected with
@@ -112,7 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
 	}
-	c.DefaultParams = c.DefaultParams.WithIntFallback(cp.ParamWorkers, c.CPWorkers)
 	return c
 }
 
@@ -166,6 +158,7 @@ type Job struct {
 	events     []Event
 	notify     chan struct{} // closed+replaced on every event append
 	done       chan struct{} // closed on terminal transition
+	finishing  bool          // terminal transition claimed (see Manager.finishJob)
 	err        error
 	result     *SolveResult
 	queuedAt   time.Time
@@ -269,16 +262,25 @@ func (j *Job) start(now time.Time) {
 	j.appendEvent(Event{Type: EventStarted})
 }
 
-// finish moves the job to a terminal state, records the result or error,
-// emits the done event, and releases waiters. Reports false (and changes
-// nothing) when the job is already terminal — e.g. it was canceled while
-// its run kept going — so callers count each job exactly once.
-func (j *Job) finish(state string, res *SolveResult, err error) bool {
+// claimFinish reserves the job's terminal transition for the caller.
+// Reports false when another caller already holds it — e.g. the job was
+// canceled while its run kept going — so each job is finished, and
+// counted, exactly once.
+func (j *Job) claimFinish() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if isTerminal(j.state) {
+	if j.finishing {
 		return false
 	}
+	j.finishing = true
+	return true
+}
+
+// finish moves a claimed job to a terminal state, records the result or
+// error, emits the done event, and releases waiters.
+func (j *Job) finish(state string, res *SolveResult, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.state = state
 	j.finishedAt = time.Now()
 	j.result = res
@@ -303,7 +305,6 @@ func (j *Job) finish(state string, res *SolveResult, err error) bool {
 	}
 	j.appendEvent(ev)
 	close(j.done)
-	return true
 }
 
 // run is one underlying portfolio solve, shared by all jobs whose
@@ -312,8 +313,8 @@ type run struct {
 	key string
 	// hash is the instance's canonical hash alone (the cluster routing
 	// key; key adds the solve-shaping parameters on top).
-	hash  string
-	canon *model.Instance
+	hash   string
+	canon  *model.Instance
 	params Params
 	// bag is the registry-validated, canonically typed form of
 	// params.Params.
@@ -585,16 +586,6 @@ func (m *Manager) CachedResult(key string) (*SolveResult, bool) {
 // router buffers bodies under the same limit the service enforces).
 func (m *Manager) MaxBodyBytes() int64 { return m.cfg.MaxBodyBytes }
 
-// Load reports the manager's instantaneous occupancy: currently
-// executing solves and the configured worker pool size. The cluster's
-// helper loop uses spare capacity (running < workers) as its "idle
-// enough to steal remote subtrees" signal.
-func (m *Manager) Load() (running, workers int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.running, m.cfg.Workers
-}
-
 // clampBudget applies the default and maximum to a requested budget.
 func (m *Manager) clampBudget(d Duration) time.Duration {
 	b := time.Duration(d)
@@ -782,12 +773,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 		hit.CacheHit = true
 		j.start(time.Now())
 		j.trace.Record(obs.SpanCacheHit)
-		if j.finish(StateDone, &hit, nil) {
-			m.metrics.jobsCompleted.Add(1)
-			m.metrics.tenantCompleted.With(tenant).Inc()
-			m.metrics.e2e.ObserveDuration(time.Since(j.queuedAt))
-			m.noteFinished(j.ID)
-		}
+		m.finishJob(j, StateDone, &hit, nil)
 		return j, nil
 	}
 	m.metrics.cacheMisses.Add(1)
@@ -846,12 +832,13 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	return j, nil
 }
 
-// noteFinished records terminal jobs and evicts the oldest beyond the
-// retention cap. Only ever called with jobs already in a terminal state.
-func (m *Manager) noteFinished(ids ...string) {
+// noteFinished records a finished job and evicts the oldest beyond the
+// retention cap. Only ever called with jobs whose terminal transition
+// has been claimed (see finishJob).
+func (m *Manager) noteFinished(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.finished = append(m.finished, ids...)
+	m.finished = append(m.finished, id)
 	for len(m.finished) > m.cfg.MaxFinishedJobs {
 		delete(m.jobs, m.finished[0])
 		m.finished = m.finished[1:]
@@ -877,7 +864,7 @@ func (m *Manager) Cancel(id string) error {
 		return ErrUnknownJob
 	}
 	j.mu.Lock()
-	terminal := isTerminal(j.state)
+	terminal := j.finishing
 	j.mu.Unlock()
 	if terminal {
 		m.mu.Unlock()
@@ -893,10 +880,7 @@ func (m *Manager) Cancel(id string) error {
 	}
 	m.mu.Unlock()
 
-	if j.finish(StateCanceled, nil, context.Canceled) {
-		m.metrics.jobsCanceled.Add(1)
-		m.noteFinished(id)
-	}
+	m.finishJob(j, StateCanceled, nil, context.Canceled)
 	return nil
 }
 
@@ -968,10 +952,7 @@ func (m *Manager) execute(r *run) {
 		// Drain timeout hit while this run sat in the queue; release any
 		// still-attached waiters.
 		for _, j := range r.complete() {
-			if j.finish(StateCanceled, nil, err) {
-				m.metrics.jobsCanceled.Add(1)
-				m.noteFinished(j.ID)
-			}
+			m.finishJob(j, StateCanceled, nil, err)
 		}
 		return
 	}
@@ -1048,27 +1029,18 @@ func (m *Manager) execute(r *run) {
 	}
 
 	// Cluster hookup: hand the distributor a shared store it can inject
-	// remote incumbents into, announce every local improvement for
-	// broadcast, and (for reproducible runs only — no step limit) let
-	// exact engines export frontier subtrees to idle peers. Single-node
-	// mode (nil Distributor) takes none of these branches.
+	// remote incumbents into and announce every local improvement for
+	// broadcast. Single-node mode (nil Distributor) takes neither
+	// branch.
 	if m.cfg.Distributor != nil {
 		store := portfolio.NewStore(c.N, cs)
 		ds := m.cfg.Distributor.SolveStarted(SolveStart{
-			Key:         r.key,
-			Hash:        r.hash,
-			Compiled:    c,
-			Constraints: cs,
-			Prune:       r.params.pruneEnabled(),
-			Canon:       r.canon,
-			Store:       store,
-			Deadline:    time.Now().Add(r.budget),
+			Key:   r.key,
+			Hash:  r.hash,
+			Store: store,
 		})
 		defer ds.Done()
 		opts.Store = store
-		if r.params.StepLimit == 0 {
-			opts.Exporter = ds.Exporter()
-		}
 		prevImprove := opts.OnImprove
 		opts.OnImprove = func(b string, order []int, obj float64) {
 			if prevImprove != nil {
@@ -1148,8 +1120,8 @@ func (m *Manager) execute(r *run) {
 	for _, b := range res.Backends {
 		bs := BackendSummary{
 			Name: b.Name, Proved: b.Proved, Improvements: b.Improvements,
-			Iterations: b.Iterations, Workers: b.Workers,
-			Wall: Duration(b.Wall), Skipped: b.Skipped,
+			Iterations: b.Iterations,
+			Wall:       Duration(b.Wall), Skipped: b.Skipped,
 			Counters: b.Counters,
 		}
 		if !math.IsInf(b.Objective, 1) {
@@ -1185,22 +1157,37 @@ func (m *Manager) execute(r *run) {
 		jr := *result
 		jr.Order = j.translate(result.Order)
 		jr.Shared = shared
-		if j.finish(StateDone, &jr, nil) {
-			m.metrics.jobsCompleted.Add(1)
-			m.metrics.tenantCompleted.With(j.tenant).Inc()
-			m.metrics.e2e.ObserveDuration(time.Since(j.queuedAt))
-			m.noteFinished(j.ID)
-		}
+		m.finishJob(j, StateDone, &jr, nil)
 	}
 }
 
 func (m *Manager) fail(r *run, err error) {
 	for _, j := range r.complete() {
-		if j.finish(StateFailed, nil, err) {
-			m.metrics.jobsFailed.Add(1)
-			m.noteFinished(j.ID)
-		}
+		m.finishJob(j, StateFailed, nil, err)
 	}
+}
+
+// finishJob moves j to a terminal state exactly once. The terminal
+// counters and the retention record land before the done event and
+// before Done() is closed, so a waiter never observes completion ahead
+// of the bookkeeping it implies (e.g. an older finished job already
+// evicted at the retention cap).
+func (m *Manager) finishJob(j *Job, state string, res *SolveResult, err error) {
+	if !j.claimFinish() {
+		return
+	}
+	switch state {
+	case StateDone:
+		m.metrics.jobsCompleted.Add(1)
+		m.metrics.tenantCompleted.With(j.tenant).Inc()
+		m.metrics.e2e.ObserveDuration(time.Since(j.queuedAt))
+	case StateCanceled:
+		m.metrics.jobsCanceled.Add(1)
+	case StateFailed:
+		m.metrics.jobsFailed.Add(1)
+	}
+	m.noteFinished(j.ID)
+	j.finish(state, res, err)
 }
 
 // progressToEvent maps a portfolio progress event onto the wire event

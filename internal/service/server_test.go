@@ -705,6 +705,54 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 }
 
+// TestDoneFollowsTerminalBookkeeping: the terminal counters land before
+// Done() is closed, so a waiter that wakes on Done() already sees its
+// job counted — for completions and for cancellations alike.
+func TestDoneFollowsTerminalBookkeeping(t *testing.T) {
+	newManager := func(t *testing.T) *Manager {
+		m := NewManager(Config{Workers: 1})
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			m.Shutdown(ctx)
+		})
+		return m
+	}
+	t.Run("done", func(t *testing.T) {
+		m := newManager(t)
+		params := Params{Backends: []string{"greedy"}, Budget: Duration(time.Second)}
+		for k := int64(1); k <= 3; k++ {
+			j, err := m.Submit(trapInstance(t), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			if got := m.Metrics().Jobs.Completed; got != k {
+				t.Fatalf("after job %d's Done(): completed = %d", k, got)
+			}
+		}
+	})
+	t.Run("canceled", func(t *testing.T) {
+		m := newManager(t)
+		j, err := m.Submit(slowInstance(21),
+			Params{Backends: []string{"vns"}, Budget: Duration(30 * time.Second)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(chan int64, 1)
+		go func() {
+			<-j.Done()
+			seen <- m.Metrics().Jobs.Canceled
+		}()
+		if err := m.Cancel(j.ID); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-seen; got != 1 {
+			t.Fatalf("waiter woke on Done() with canceled = %d, want 1", got)
+		}
+	})
+}
+
 func TestDurationJSON(t *testing.T) {
 	for in, want := range map[string]time.Duration{
 		`"1.5s"`:  1500 * time.Millisecond,

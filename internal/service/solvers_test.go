@@ -1,13 +1,14 @@
 // Tests for the registry-backed edges of the service: the GET /solvers
 // catalogue, 400s with valid sets for unknown backends/params, and the
-// end-to-end param plumbing ("params":{"cp.workers":N} must reach the
-// cp engine, observable in the Workers telemetry).
+// end-to-end param plumbing ("params":{"cp.tail_bound":false} must
+// reach the cp engine, observable in its pruned_tail counter).
 package service
 
 import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -43,20 +44,11 @@ func TestSolversEndpoint(t *testing.T) {
 	if cp.Kind != "exact" || !cp.Proves {
 		t.Errorf("cp self-description wrong: %+v", cp)
 	}
-	var workersSpec, tailSpec *SolverParam
+	var tailSpec *SolverParam
 	for i, p := range cp.Params {
-		switch p.Name {
-		case "cp.workers":
-			workersSpec = &cp.Params[i]
-		case "cp.tail_bound":
+		if p.Name == "cp.tail_bound" {
 			tailSpec = &cp.Params[i]
 		}
-	}
-	if workersSpec == nil {
-		t.Fatalf("cp declares no cp.workers param: %+v", cp.Params)
-	}
-	if workersSpec.Type != "int" || workersSpec.Help == "" {
-		t.Errorf("cp.workers spec incomplete: %+v", workersSpec)
 	}
 	if tailSpec == nil {
 		t.Fatalf("cp declares no cp.tail_bound param: %+v", cp.Params)
@@ -105,11 +97,11 @@ func TestSubmitRejectsBadParams(t *testing.T) {
 		params  map[string]any
 		needles []string
 	}{
-		{"unknown key", map[string]any{"cp.wrokers": 4}, []string{"cp.wrokers", "cp.workers"}},
-		{"ill-typed", map[string]any{"cp.workers": "four"}, []string{"cp.workers", "int"}},
+		{"unknown key", map[string]any{"cp.tail_bund": true}, []string{"cp.tail_bund", "cp.tail_bound"}},
 		{"ill-typed bool", map[string]any{"cp.tail_bound": "yes"}, []string{"cp.tail_bound", "bool"}},
-		{"fractional", map[string]any{"cp.workers": 2.5}, []string{"cp.workers"}},
-		{"out of range", map[string]any{"cp.workers": -1}, []string{"cp.workers", "minimum"}},
+		{"number for bool", map[string]any{"cp.tail_bound": 1}, []string{"cp.tail_bound", "bool"}},
+		{"ill-typed", map[string]any{"cp.tail_bound": map[string]any{"on": true}}, []string{"cp.tail_bound", "bool"}},
+		{"removed cp.workers", map[string]any{"cp.workers": 2}, []string{"unknown param", "cp.workers", "cp.tail_bound"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -119,62 +111,66 @@ func TestSubmitRejectsBadParams(t *testing.T) {
 	}
 }
 
-// cpWorkersOf digs the cp backend's reported worker count out of a
-// solve result.
-func cpWorkersOf(t *testing.T, res *SolveResult) int {
+// cpTailPrunesOf digs the cp backend's tail-bound prune count out of a
+// solve result: zero whenever cp.tail_bound=false reached the engine.
+func cpTailPrunesOf(t *testing.T, res *SolveResult) int64 {
 	t.Helper()
 	for _, b := range res.Backends {
 		if b.Name == "cp" {
-			return b.Workers
+			return b.Counters["pruned_tail"]
 		}
 	}
 	t.Fatalf("no cp telemetry in %+v", res.Backends)
 	return 0
 }
 
-func TestParamsReachCPEngine(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	in := trapInstance(t)
-	resp := postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
+// solveCP runs a cp-only /solve on the trap instance with the given
+// request params and asserts a proof.
+func solveCP(t *testing.T, url string, params map[string]any) SolveResult {
+	t.Helper()
+	resp := postJSON(t, url+"/solve", solveRequest{Instance: trapInstance(t), Params: Params{
 		Budget:   Duration(10 * time.Second),
 		Backends: []string{"cp"},
-		Params:   map[string]any{"cp.workers": 2},
+		Params:   params,
 	}})
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	res := decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 2 {
-		t.Fatalf("cp ran %d workers, want 2 (params did not reach the engine)", got)
-	}
 	if !res.Proved {
-		t.Error("cp did not prove the trap instance")
+		t.Fatal("cp did not prove the trap instance")
+	}
+	return res
+}
+
+func TestParamsReachCPEngine(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	on := solveCP(t, ts.URL, nil)
+	if got := cpTailPrunesOf(t, &on); got == 0 {
+		t.Fatal("default cp.tail_bound=true never pruned on the trap instance")
+	}
+	off := solveCP(t, ts.URL, map[string]any{"cp.tail_bound": false})
+	if got := cpTailPrunesOf(t, &off); got != 0 {
+		t.Fatalf("cp.tail_bound=false still pruned %d nodes (params did not reach the engine)", got)
+	}
+	if math.Float64bits(on.Objective) != math.Float64bits(off.Objective) {
+		t.Fatalf("tail bound changed the proved optimum: %v vs %v", on.Objective, off.Objective)
 	}
 }
 
-func TestDeprecatedCPWorkersConfigStillApplies(t *testing.T) {
-	// The deprecated Config.CPWorkers alias must still size the proof
-	// search when the request itself names no params — and an explicit
-	// request param must win over it.
-	_, ts := newTestServer(t, Config{Workers: 1, CPWorkers: 2})
-	in := trapInstance(t)
-
-	resp := postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
-		Budget: Duration(10 * time.Second), Backends: []string{"cp"},
-	}})
-	res := decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 2 {
-		t.Fatalf("config alias: cp ran %d workers, want 2", got)
+func TestDefaultParamsApply(t *testing.T) {
+	// Config.DefaultParams must reach the engine when the request names
+	// no params — and an explicit request param must win over it.
+	_, ts := newTestServer(t, Config{Workers: 1,
+		DefaultParams: backend.Params{"cp.tail_bound": false}})
+	res := solveCP(t, ts.URL, nil)
+	if got := cpTailPrunesOf(t, &res); got != 0 {
+		t.Fatalf("server default: cp pruned %d nodes by tail, want 0", got)
 	}
-
-	resp = postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
-		Budget: Duration(10 * time.Second), Backends: []string{"cp"},
-		Params: map[string]any{"cp.workers": 3},
-	}})
-	res = decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 3 {
-		t.Fatalf("request param must beat the config alias: got %d workers, want 3", got)
+	res = solveCP(t, ts.URL, map[string]any{"cp.tail_bound": true})
+	if got := cpTailPrunesOf(t, &res); got == 0 {
+		t.Fatal("request param must beat the server default: no tail prunes")
 	}
 }
 
@@ -188,7 +184,7 @@ func TestQueryStringParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(
-		ts.URL+"/solve?backends=cp&budget=10s&param=cp.workers%3D2",
+		ts.URL+"/solve?backends=cp&budget=10s&param=cp.tail_bound%3Dfalse",
 		"application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +194,8 @@ func TestQueryStringParams(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	res := decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 2 {
-		t.Fatalf("query param: cp ran %d workers, want 2", got)
+	if got := cpTailPrunesOf(t, &res); got != 0 {
+		t.Fatalf("query param: cp pruned %d nodes by tail, want 0", got)
 	}
 
 	// A bad query param fails fast with the valid set.
@@ -210,7 +206,7 @@ func TestQueryStringParams(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "cp.workers") {
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "cp.tail_bound") {
 		t.Fatalf("bad query param: status %d body %s", resp.StatusCode, raw)
 	}
 }
@@ -218,9 +214,9 @@ func TestQueryStringParams(t *testing.T) {
 func TestParamsEnterCacheKey(t *testing.T) {
 	// Two requests differing only in params must not share a cache
 	// entry; identical params must.
-	k1 := solveKey("h", Params{}, backend.Params{"cp.workers": 2}, time.Second)
-	k2 := solveKey("h", Params{}, backend.Params{"cp.workers": 4}, time.Second)
-	k3 := solveKey("h", Params{}, backend.Params{"cp.workers": 2}, time.Second)
+	k1 := solveKey("h", Params{}, backend.Params{"cp.tail_bound": false}, time.Second)
+	k2 := solveKey("h", Params{}, backend.Params{"cp.tail_bound": true}, time.Second)
+	k3 := solveKey("h", Params{}, backend.Params{"cp.tail_bound": false}, time.Second)
 	if k1 == k2 {
 		t.Fatalf("param bags do not distinguish solve keys: %s", k1)
 	}

@@ -45,7 +45,7 @@ func (t ParamType) String() string {
 // all derive from them.
 type ParamSpec struct {
 	// Name is the fully qualified key, prefixed with the owning
-	// backend's name ("cp.workers").
+	// backend's name ("cp.tail_bound").
 	Name string
 	// Type is the declared value type.
 	Type ParamType
@@ -133,7 +133,7 @@ func (s ParamSpec) coerce(v any) (any, error) {
 	return nil, fmt.Errorf("param %s: want %s, got %T", s.Name, s.Type, v)
 }
 
-// parse turns a CLI string ("-param cp.workers=4") into the canonical
+// parse turns a CLI string ("-param cp.tail_bound=false") into the canonical
 // typed value.
 func (s ParamSpec) parse(raw string) (any, error) {
 	switch s.Type {
@@ -234,32 +234,6 @@ func (p Params) Canon() string {
 		}
 	}
 	return b.String()
-}
-
-// WithIntFallback returns p with name set to value, unless value <= 0
-// (the zero value means "alias unset") or p already carries the key —
-// an explicit entry, even an explicit zero, always wins. This is the
-// merge rule of the deprecated CPWorkers-style aliases; when name has a
-// declared spec the fallback is clamped into its bounds, so the legacy
-// paths cannot smuggle in a value ValidateParams would reject.
-func (p Params) WithIntFallback(name string, value int) Params {
-	if value <= 0 {
-		return p
-	}
-	if _, set := p[name]; set {
-		return p
-	}
-	if spec, ok := SpecFor(name); ok {
-		if spec.Min != nil && float64(value) < *spec.Min {
-			value = int(*spec.Min)
-		}
-		if spec.Max != nil && float64(value) > *spec.Max {
-			value = int(*spec.Max)
-		}
-	}
-	out := p.Clone()
-	out[name] = value
-	return out
 }
 
 // ValidateParams checks a raw key→value map (typically straight out of

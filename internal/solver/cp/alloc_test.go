@@ -1,15 +1,14 @@
-// Allocation-regression tests: the branch-and-bound descent loop is
-// allocation-free in steady state, and these pins make that a CI
+// Allocation-regression test: the branch-and-bound descent loop is
+// allocation-free in steady state, and this pin makes that a CI
 // invariant rather than a benchmark anecdote. Budgets cover the fixed
-// per-solve setup (searcher arenas, walker, frame-pool warmup) and are
+// per-solve setup (searcher arenas, walker) and are
 // far below what even one allocation per node would produce on the
 // chosen instances, so any per-node slice or closure creeping back into
-// dfs/candidates/spawn/offer fails loudly here — not quietly in a
+// dfs/candidates fails loudly here — not quietly in a
 // BENCH_eval.json diff months later.
 package cp
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/evolving-olap/idd/internal/prune"
@@ -47,108 +46,31 @@ func TestAllocSerialDescent(t *testing.T) {
 	}
 }
 
-// TestAllocParallelSolve pins the parallel engine's per-solve budget:
-// per-worker setup plus the frame-pool warmup (frames are recycled
-// through per-worker free lists, so live frames — not spawns — bound
-// the count). The proof expands tens of thousands of nodes and spawns
-// thousands of subproblems; one allocation per spawn would blow the
-// budget by an order of magnitude.
-func TestAllocParallelSolve(t *testing.T) {
+// TestAllocFixedNeighborhood pins the per-call budget of the LNS usage:
+// a frozen-position neighborhood seeded with an incumbent. LNS issues
+// thousands of these per solve, so the cost must stay the same fixed
+// setup constant as a full proof.
+func TestAllocFixedNeighborhood(t *testing.T) {
 	in, c := inst(5, 12)
 	cs := sched.PrecedenceSet(in)
+	full := Solve(c, cs, Options{})
+	if !full.Proved {
+		t.Fatal("reference proof did not exhaust")
+	}
+	fixed := append([]int(nil), full.Order...)
+	for _, p := range []int{1, 3, 4, 6, 7, 9, 10} {
+		fixed[p] = -1
+	}
 	var res Result
-	allocs := testing.AllocsPerRun(5, func() {
-		res = Solve(c, cs, Options{Workers: 4, Seed: 1})
+	allocs := testing.AllocsPerRun(20, func() {
+		res = Solve(c, cs, Options{Fixed: fixed, Incumbent: full.Order})
 	})
 	if !res.Proved {
-		t.Fatal("parallel proof did not exhaust")
+		t.Fatal("neighborhood not exhausted")
 	}
-	if res.Nodes < 1000 {
-		t.Fatalf("instance too easy (%d nodes) to witness allocation-freedom", res.Nodes)
-	}
-	t.Logf("parallel W=4: %.1f allocs/solve over %d nodes", allocs, res.Nodes)
-	const parallelBudget = 600
-	if allocs > parallelBudget {
-		t.Fatalf("parallel solve allocates %.1f/op (budget %d): the spawn/steal path is allocating again",
-			allocs, parallelBudget)
-	}
-}
-
-// TestAllocIncumbentOffer pins the steady-state incumbent publish path
-// at exactly zero: after the first offer has grown the internal
-// buffers, improving offers (including the OnSolution callback) must
-// not allocate.
-func TestAllocIncumbentOffer(t *testing.T) {
-	const n = 16
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	var published int
-	inc := newIncumbent(func([]int, float64) { published++ })
-	obj := 1e9
-	inc.offer(order, obj) // warmup: sizes order and callback buffers
-	allocs := testing.AllocsPerRun(200, func() {
-		obj--
-		if !inc.offer(order, obj) {
-			t.Fatal("offer with improving objective rejected")
-		}
-	})
-	if published == 0 {
-		t.Fatal("OnSolution never invoked")
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state incumbent offer allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestIncumbentConcurrentOffers hammers the shared incumbent from many
-// goroutines (run under -race in CI): offers, lock-free objective
-// reads, and best() snapshots interleave freely, yet the callback must
-// observe a strictly decreasing objective sequence and the final state
-// must be the global minimum offered.
-func TestIncumbentConcurrentOffers(t *testing.T) {
-	const goroutines = 8
-	const offersPer = 300
-	const n = 12
-	var published []float64
-	inc := newIncumbent(func(o []int, obj float64) {
-		// Serialized under the incumbent lock per the OnSolution contract.
-		published = append(published, obj)
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			order := make([]int, n)
-			for i := range order {
-				order[i] = (i + g) % n
-			}
-			for k := 0; k < offersPer; k++ {
-				inc.offer(order, float64(10_000_000-g-goroutines*k))
-				_ = inc.objective()
-				if k%17 == 0 {
-					inc.best()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	wantObj := float64(10_000_000 - (goroutines - 1) - goroutines*(offersPer-1))
-	order, obj := inc.best()
-	if obj != wantObj {
-		t.Fatalf("final objective %v, want %v", obj, wantObj)
-	}
-	wantFirst := (goroutines - 1) % n
-	if len(order) != n || order[0] != wantFirst {
-		t.Fatalf("final order %v does not match the minimal offer (want first element %d)", order, wantFirst)
-	}
-	for k := 1; k < len(published); k++ {
-		if published[k] >= published[k-1] {
-			t.Fatalf("callback objectives not strictly decreasing: %v then %v at %d",
-				published[k-1], published[k], k)
-		}
+	t.Logf("neighborhood: %.1f allocs/solve over %d nodes", allocs, res.Nodes)
+	const neighborhoodBudget = 64
+	if allocs > neighborhoodBudget {
+		t.Fatalf("neighborhood solve allocates %.1f/op (budget %d): per-node allocations are back", allocs, neighborhoodBudget)
 	}
 }

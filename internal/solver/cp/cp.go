@@ -14,13 +14,11 @@
 // pinned by allocation-regression tests (alloc_test.go) so a
 // per-node allocation can never silently return.
 //
-// With Options.Workers > 1 the proof search runs as a work-stealing
-// parallel branch-and-bound (see parallel.go): the tree is split at
-// shallow depths into a frontier of subproblems spread over per-worker
-// deques, every worker owns a model.Walker repositioned with Sync on
-// steal, and all workers share one atomic incumbent that both publishes
-// to and consumes from the portfolio's shared store mid-proof. The
-// result is still an exact optimality proof when the frontier drains.
+// The search is single-threaded and fully deterministic: identical
+// inputs yield identical node/fail counts and solution sequences.
+// Exact proofs on instances small enough for the 2^n subset lattice
+// are the job of package astar; CP is the anytime searcher, the LNS
+// sub-solver, and a proving racer in the portfolio.
 package cp
 
 import (
@@ -28,7 +26,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/evolving-olap/idd/internal/bitset"
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/prune"
@@ -38,18 +35,15 @@ import (
 // Options controls a CP search.
 type Options struct {
 	// FailLimit aborts the search after this many backtracks (0 = no
-	// limit). LNS uses small limits (the paper uses 500). With Workers > 1
-	// the limit is enforced against the global fail count on a polling
-	// stride, so parallel searches may overshoot it by a few hundred.
+	// limit). LNS uses small limits (the paper uses 500).
 	FailLimit int64
-	// NodeLimit aborts after this many search nodes (0 = no limit); the
-	// same parallel overshoot caveat as FailLimit applies.
+	// NodeLimit aborts after this many search nodes (0 = no limit).
 	NodeLimit int64
 	// Deadline aborts when the wall clock passes it (zero = none). The
 	// deadline is checked every few dozen nodes.
 	Deadline time.Time
-	// Context, when non-nil, aborts the search when cancelled. Every
-	// worker polls it on a node-count stride (pollStride), so service-side
+	// Context, when non-nil, aborts the search when cancelled. The
+	// search polls it on a node-count stride (pollStride), so service-side
 	// cancellation (e.g. a DELETE on a solve job) interrupts even proofs
 	// that are deep in the tree within microseconds.
 	Context context.Context
@@ -58,9 +52,7 @@ type Options struct {
 	// that cannot beat it are pruned in addition to the solver's own
 	// incumbent. When the search then exhausts, Proved means "no order
 	// strictly better than the tightest bound seen exists" — the external
-	// incumbent is optimal even if this search never matched it. In
-	// parallel mode every worker polls it, so CP consumes portfolio
-	// incumbents mid-proof.
+	// incumbent is optimal even if this search never matched it.
 	ExternalBound func() float64
 	// Incumbent, when non-nil, seeds the search with a known feasible
 	// order; only strictly better solutions are reported.
@@ -72,9 +64,8 @@ type Options struct {
 	// OnSolution, when non-nil, is invoked for every improving solution.
 	// The order slice is a reusable buffer valid only for the duration of
 	// the call — copy it to retain it (the portfolio store and the
-	// service both copy internally). With Workers > 1 it may be invoked
-	// from any worker goroutine; calls are serialized under the incumbent
-	// lock, so objectives still arrive strictly decreasing.
+	// service both copy internally). Objectives arrive strictly
+	// decreasing.
 	OnSolution func(order []int, objective float64)
 
 	// TailBound, when non-nil, folds the §5.5 tail analysis into the
@@ -86,34 +77,6 @@ type Options struct {
 	// param "cp.tail_bound" builds one per request (default on); direct
 	// callers construct it with prune.NewTailBound.
 	TailBound *prune.TailBound
-
-	// Workers sets the number of branch-and-bound worker goroutines
-	// (0 or 1 = single-threaded). The single-threaded search is fully
-	// deterministic — identical instances yield identical node/fail
-	// counts and solution sequences. Parallel searches prove the same
-	// optimum but their effort counters depend on steal timing.
-	Workers int
-	// SplitDepth bounds the tree depth below which nodes donate their
-	// sibling branches to the shared frontier instead of exploring them
-	// in-line (0 = auto-sized from N and Workers). Deeper splits make
-	// more, smaller subproblems.
-	SplitDepth int
-	// Seed derives each worker's private steal-victim RNG. Two parallel
-	// runs with the same seed still differ in scheduling; the seed only
-	// makes victim choice reproducible given identical schedules.
-	Seed int64
-
-	// Exporter, when non-nil, is called once as a parallel search starts,
-	// handing the distributed-solve coordinator an ExportHandle that can
-	// donate frontier subproblems to other nodes (see export.go); the
-	// returned release func is called when the search ends. Ignored by
-	// the serial engine — it has no frontier to export.
-	Exporter func(h *ExportHandle) (release func())
-	// RootPrefix, when non-empty, roots the search at the subtree below
-	// this deployment prefix instead of the whole tree. Set via
-	// SolveSubtree (the adoption end of distributed stealing); direct
-	// callers should leave it nil.
-	RootPrefix []int
 
 	// Ablation switches (benchmarks only; keep both false in real use):
 	// NaiveBranching disables the density-guided value ordering, and
@@ -133,22 +96,19 @@ type Result struct {
 	// Proved is true when the search space was exhausted, i.e. Order is
 	// proved optimal (under the frozen positions, if any).
 	Proved bool
-	// Nodes and Fails count search effort, summed over all workers.
+	// Nodes and Fails count search effort.
 	Nodes, Fails int64
 	// Solutions counts improving solutions found during this search.
 	Solutions int
-	// Workers reports how many workers actually ran (1 for the serial
-	// engine).
-	Workers int
 	// Stats breaks the search effort down by cause.
 	Stats Stats
 }
 
-// Stats is the per-solve effort breakdown. Counters are accumulated as
-// plain ints in per-worker scratch (no atomics, no allocations on the
-// descent path) and merged once per solve, so instrumentation is free
-// at node granularity. Invariant: PrunedBound + PrunedTail + Infeasible
-// == Result.Fails — every dead end has exactly one recorded cause.
+// Stats is the per-solve effort breakdown. Counters are plain ints
+// bumped on the descent path (no atomics, no allocations), so
+// instrumentation is free at node granularity. Invariant: PrunedBound +
+// PrunedTail + Infeasible == Result.Fails — every dead end has exactly
+// one recorded cause.
 type Stats struct {
 	// PrunedBound counts nodes cut because even the most optimistic
 	// completion could not beat the incumbent objective.
@@ -159,16 +119,6 @@ type Stats struct {
 	// Infeasible counts dead ends with no feasible candidate: a missed
 	// position window, a double-booked last slot, or an empty ready set.
 	Infeasible int64
-	// Offers counts improving solutions offered to the (shared)
-	// incumbent; Accepts counts the offers that won. They differ only in
-	// parallel mode, where a concurrent better offer can race ahead.
-	Offers, Accepts int64
-	// StealAttempts counts probes of victim deques by out-of-work
-	// workers; Steals counts the probes that returned a subproblem.
-	StealAttempts, Steals int64
-	// MaxDeque is the high-water mark of any single worker deque (0 for
-	// the serial engine): how bushy the donated frontier got.
-	MaxDeque int64
 }
 
 // Counters renders the result's effort breakdown as the flat named map
@@ -182,32 +132,12 @@ func (r Result) Counters() map[string]int64 {
 		"pruned_incumbent": r.Stats.PrunedBound,
 		"pruned_tail":      r.Stats.PrunedTail,
 		"infeasible":       r.Stats.Infeasible,
-		"offers":           r.Stats.Offers,
-		"accepts":          r.Stats.Accepts,
-		"steal_attempts":   r.Stats.StealAttempts,
-		"steals":           r.Stats.Steals,
-		"max_deque_depth":  r.Stats.MaxDeque,
 	}
 }
 
-// add folds o into s (used when merging per-worker scratch).
-func (s *Stats) add(o *Stats) {
-	s.PrunedBound += o.PrunedBound
-	s.PrunedTail += o.PrunedTail
-	s.Infeasible += o.Infeasible
-	s.Offers += o.Offers
-	s.Accepts += o.Accepts
-	s.StealAttempts += o.StealAttempts
-	s.Steals += o.Steals
-	if o.MaxDeque > s.MaxDeque {
-		s.MaxDeque = o.MaxDeque
-	}
-}
-
-// pollStride is how many nodes a worker expands between checks of the
-// deadline, the context, and (parallel mode) the global abort flag and
-// shared effort counters. At the engine's node rates (µs/node) this
-// bounds cancellation latency to well under a millisecond.
+// pollStride is how many nodes the search expands between checks of
+// the deadline and the context. At the engine's node rates (µs/node)
+// this bounds cancellation latency to well under a millisecond.
 const pollStride = 64
 
 type searcher struct {
@@ -218,8 +148,7 @@ type searcher struct {
 
 	w      *model.Walker
 	placed []bool
-	// order[0:k] is the current prefix (order[j] = index placed j-th);
-	// maintained by dfs so frontier splits can capture prefixes cheaply.
+	// order[0:k] is the current prefix (order[j] = index placed j-th).
 	order []int
 	// predsLeft[i] = number of not-yet-placed predecessors of i.
 	predsLeft []int
@@ -251,25 +180,12 @@ type searcher struct {
 	nodes     int64
 	fails     int64
 	solutions int
-	// st is this worker's private effort breakdown: plain ints bumped on
-	// the descent path (same cost model as nodes/fails) and merged into
-	// the solve-wide Stats exactly once, so the alloc/atomic budget of
-	// the hot loop is untouched by instrumentation.
+	// st is the effort breakdown: plain ints bumped on the descent path
+	// (same cost model as nodes/fails), so the alloc budget of the hot
+	// loop is untouched by instrumentation.
 	st      Stats
 	aborted bool
 	poll    int // countdown to the next deadline/context poll
-
-	// Parallel-mode hookup (nil for the serial engine): the shared run
-	// state, this worker's id, high-water marks of the effort already
-	// flushed into the run's global counters, the worker's subproblem
-	// frame free list, and the scratch bitset adopt() rebuilds
-	// precedence readiness from.
-	par          *parRun
-	wid          int
-	flushedNodes int64
-	flushedFails int64
-	freeFrames   []*subproblem
-	adoptSet     bitset.Set
 }
 
 func newSearcher(c *model.Compiled, cs *constraint.Set, opt Options) *searcher {
@@ -297,7 +213,7 @@ func newSearcher(c *model.Compiled, cs *constraint.Set, opt Options) *searcher {
 	flat := make([]int, n*(n+1)/2)
 	off := 0
 	for k := 0; k < n; k++ {
-		s.candRows[k] = flat[off:off : off+(n-k)]
+		s.candRows[k] = flat[off : off : off+(n-k)]
 		off += n - k
 	}
 	for i := 0; i < n; i++ {
@@ -326,9 +242,6 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	if cs == nil {
 		cs = constraint.NewSet(c.N)
 	}
-	if opt.Workers > 1 && c.N > 1 {
-		return solveParallel(c, cs, opt)
-	}
 	s := newSearcher(c, cs, opt)
 	if opt.Incumbent != nil {
 		s.best = append(s.best, opt.Incumbent...)
@@ -342,7 +255,6 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 		Nodes:     s.nodes,
 		Fails:     s.fails,
 		Solutions: s.solutions,
-		Workers:   1,
 		Stats:     s.st,
 	}
 }
@@ -353,9 +265,6 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 // longer depends on how the node counter happens to align (the old
 // modulo check) or how deep in the tree the search currently is.
 func (s *searcher) limitHit() bool {
-	if s.par != nil {
-		return s.parLimitHit()
-	}
 	if s.opt.FailLimit > 0 && s.fails >= s.opt.FailLimit {
 		return true
 	}
@@ -390,25 +299,10 @@ func (s *searcher) dfs(k int) bool {
 	n := s.c.N
 	if k == n {
 		obj := s.w.Objective()
-		if s.par != nil {
-			// The snapshot check mirrors offer's own fast path, so gating
-			// here changes nothing except that Offers counts only genuine
-			// improvement attempts, not every completed leaf.
-			if obj < s.par.inc.objective()-1e-12 {
-				s.st.Offers++
-				if s.par.inc.offer(s.order, obj) {
-					s.solutions++
-					s.st.Accepts++
-				}
-			}
-			return true
-		}
 		if obj < s.bestObj-1e-12 {
 			s.bestObj = obj
 			s.best = append(s.best[:0], s.order[:n]...)
 			s.solutions++
-			s.st.Offers++
-			s.st.Accepts++
 			if s.opt.OnSolution != nil {
 				s.cbBuf = append(s.cbBuf[:0], s.best...)
 				s.opt.OnSolution(s.cbBuf, obj)
@@ -421,11 +315,6 @@ func (s *searcher) dfs(k int) bool {
 	// completion cannot beat the incumbent — the solver's own or, in
 	// portfolio mode, the best any backend has published so far.
 	ub := s.bestObj
-	if s.par != nil {
-		if g := s.par.inc.objective(); g < ub {
-			ub = g
-		}
-	}
 	if s.opt.ExternalBound != nil {
 		if e := s.opt.ExternalBound(); e < ub {
 			ub = e
@@ -449,12 +338,6 @@ func (s *searcher) dfs(k int) bool {
 		s.fails++
 		s.st.Infeasible++
 		return true
-	}
-	if s.par != nil && k < s.par.splitDepth && len(cands) > 1 {
-		// Frontier split: keep the most promising branch for this worker
-		// and donate the siblings to the shared deque pool.
-		s.par.spawn(s, k, cands[1:])
-		cands = cands[:1]
 	}
 	for _, i := range cands {
 		s.order[k] = i

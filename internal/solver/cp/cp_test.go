@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,7 +118,7 @@ func TestNodeLimitAborts(t *testing.T) {
 }
 
 func TestDeadlineAborts(t *testing.T) {
-	_, c := inst(5, 11)
+	_, c := inst(5, 20)
 	start := time.Now()
 	res := Solve(c, nil, Options{Deadline: start.Add(30 * time.Millisecond)})
 	if res.Proved {
@@ -125,6 +126,34 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("deadline ignored")
+	}
+}
+
+func TestCancelledContextAborts(t *testing.T) {
+	_, c := inst(5, 20)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := Solve(c, nil, Options{Context: ctx})
+	if res.Proved {
+		t.Fatal("search under a cancelled context claimed a proof on 20 indexes")
+	}
+	if res.Nodes > pollStride+1 {
+		t.Fatalf("cancelled search expanded %d nodes, want at most one poll stride", res.Nodes)
+	}
+}
+
+func TestExternalBoundProof(t *testing.T) {
+	// An external bound at the optimum prunes every subtree; exhausting
+	// the tree then proves the external incumbent optimal even though
+	// this search never produced an order of its own.
+	_, c := inst(6, 7)
+	opt := Solve(c, nil, Options{})
+	res := Solve(c, nil, Options{ExternalBound: func() float64 { return opt.Objective }})
+	if !res.Proved {
+		t.Fatal("externally bounded search did not exhaust")
+	}
+	if res.Order != nil {
+		t.Fatalf("no order should beat the external optimum, got %v", res.Order)
 	}
 }
 

@@ -36,12 +36,10 @@ import (
 
 	// Every built-in solver registers itself into the backend registry
 	// from init(); importing them here is what puts them on the roster
-	// for any program that links the portfolio. cp is additionally named
-	// for its ParamWorkers constant (the deprecated-alias merge).
-	"github.com/evolving-olap/idd/internal/solver/cp"
-
+	// for any program that links the portfolio.
 	_ "github.com/evolving-olap/idd/internal/solver/astar"
 	_ "github.com/evolving-olap/idd/internal/solver/bruteforce"
+	_ "github.com/evolving-olap/idd/internal/solver/cp"
 	_ "github.com/evolving-olap/idd/internal/solver/dp"
 	_ "github.com/evolving-olap/idd/internal/solver/local"
 	_ "github.com/evolving-olap/idd/internal/solver/mip"
@@ -220,16 +218,10 @@ type Options struct {
 	// reproducible for tests regardless of wall-clock speed.
 	StepLimit int64
 	// Params is the typed registry-declared parameter bag handed to
-	// every backend (e.g. "cp.workers"). Build it with
+	// every backend (e.g. "cp.tail_bound"). Build it with
 	// backend.ValidateParams / backend.ParseParams; backends read only
 	// their own declared keys.
 	Params backend.Params
-	// CPWorkers is a deprecated alias for Params["cp.workers"]: the
-	// branch-and-bound worker budget of the cp backend's work-stealing
-	// proof search. An explicit Params entry wins.
-	//
-	// Deprecated: set Params["cp.workers"] instead.
-	CPWorkers int
 	// Seed derives each randomized backend's private RNG.
 	Seed int64
 	// Initial seeds the incumbent store (nil = greedy.Solve).
@@ -240,12 +232,6 @@ type Options struct {
 	// cluster injects a store it also feeds remote incumbents into, so
 	// exact provers on this node prune against bests found on another.
 	Store *Store
-	// Exporter, when non-nil, is handed to every raced backend
-	// (via backend.Request.Exporter): backends with distributable
-	// searches attach a live backend.WorkSource through it so the
-	// cluster can donate frontier subtrees to idle peers. Nil outside
-	// multi-node mode.
-	Exporter func(ws backend.WorkSource) (release func())
 	// OnImprove, when non-nil, observes every change of the shared
 	// incumbent (with a copy of the order). It may be invoked from
 	// multiple backend goroutines; each call was an improvement at the
@@ -333,12 +319,8 @@ type BackendResult struct {
 	// Iterations counts backend-specific search effort: local-search
 	// steps, CP/MIP nodes, A* expansions, brute-force permutations.
 	Iterations int64
-	// Workers reports internal parallelism the backend declared it ran
-	// (cp's branch-and-bound goroutines; 0 = not reported). This is the
-	// telemetry that proves a "cp.workers" param reached the engine.
-	Workers int
 	// Counters is the backend's own effort breakdown (nil when the
-	// backend reports none): cp's prune-cause split and steal traffic,
+	// backend reports none): cp's prune-cause split,
 	// the local searches' accepted/adopted move counts. Passed through
 	// verbatim from backend.Outcome.Counters.
 	Counters map[string]int64
@@ -394,10 +376,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	if err := backend.CheckNames(names); err != nil {
 		return Result{}, fmt.Errorf("portfolio: %w", err)
 	}
-	// Deprecated Options.CPWorkers alias; any explicit typed param —
-	// including an explicit 0 forcing the serial engine — wins, and the
-	// alias value is clamped into the declared spec bounds.
-	params := opt.Params.WithIntFallback(cp.ParamWorkers, opt.CPWorkers)
 	budget := opt.Budget
 	if budget <= 0 {
 		budget = 10 * time.Second
@@ -531,11 +509,10 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 					StepLimit:   opt.StepLimit,
 					Seed:        opt.Seed + int64(j)*0x9E3779B9,
 					Initial:     initial,
-					Params:      params,
+					Params:      opt.Params,
 					Publish:     publish,
 					Incumbent:   sh.BetterThan,
 					Bound:       sh.Objective,
-					Exporter:    opt.Exporter,
 				}
 				emit(ProgressEvent{Kind: ProgressBackendStarted, Backend: name,
 					Objective: sh.Objective()})
@@ -550,7 +527,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 				// telemetry at best.
 				br.Proved = out.Proved && exact
 				br.Iterations = out.Iterations
-				br.Workers = out.Workers
 				br.Counters = out.Counters
 				br.Err = out.Err
 				if out.Order != nil {
@@ -609,7 +585,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 				StepLimit:   opt.StepLimit,
 				Seed:        opt.Seed,
 				Initial:     initial,
-				Params:      params,
+				Params:      opt.Params,
 				Publish:     publish,
 			})
 			if fout.Order != nil {
@@ -617,7 +593,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 			}
 			fbr.Objective = fout.Objective
 			fbr.Iterations = fout.Iterations
-			fbr.Workers = fout.Workers
 			fbr.Counters = fout.Counters
 			fbr.Wall = time.Since(fstart)
 			results = append(results, fbr)

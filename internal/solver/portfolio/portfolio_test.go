@@ -426,51 +426,56 @@ func assertFeasible(t *testing.T, n int, cs *constraint.Set, order []int) {
 	solvertest.RequireFeasible(t, n, cs, order)
 }
 
-// TestSolveParamsReachBackend: a "cp.workers" entry in the typed params
-// bag — and the deprecated CPWorkers alias — must reach the cp engine,
-// observable through the Workers telemetry it reports back. An explicit
-// param outranks the alias.
+// TestSolveParamsReachBackend: a "cp.tail_bound" entry in the typed
+// params bag must reach the cp engine, observable through the
+// pruned_tail counter it reports back: switched off, the tail bound
+// never prunes; left on (the default), it prunes somewhere on the
+// conformance cases. The proved optimum is the same either way.
 func TestSolveParamsReachBackend(t *testing.T) {
-	cse := solvertest.Cases(t)[1]
-	for name, opt := range map[string]Options{
-		"params":            {Params: backend.Params{"cp.workers": 2}},
-		"deprecated-alias":  {CPWorkers: 2},
-		"param-beats-alias": {CPWorkers: 7, Params: backend.Params{"cp.workers": 2}},
-	} {
-		opt.Backends = []string{"cp"}
-		opt.Budget = 20 * time.Second
-		res, err := Solve(context.Background(), cse.C, cse.CS, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	var tailPrunes int64
+	for _, cse := range solvertest.Cases(t) {
+		for _, on := range []bool{false, true} {
+			res, err := Solve(context.Background(), cse.C, cse.CS, Options{
+				Backends: []string{"cp"},
+				Budget:   20 * time.Second,
+				Params:   backend.Params{"cp.tail_bound": on},
+			})
+			if err != nil {
+				t.Fatalf("%s tail=%v: %v", cse.Name, on, err)
+			}
+			if !res.Proved {
+				t.Fatalf("%s tail=%v: cp did not prove optimality", cse.Name, on)
+			}
+			solvertest.RequireOptimal(t, cse, res.Order)
+			got := res.Backends[0].Counters["pruned_tail"]
+			if !on && got != 0 {
+				t.Errorf("%s: cp.tail_bound=false still pruned %d nodes by tail", cse.Name, got)
+			}
+			if on {
+				tailPrunes += got
+			}
 		}
-		if got := res.Backends[0].Workers; got != 2 {
-			t.Errorf("%s: cp ran %d workers, want 2", name, got)
-		}
-		if !res.Proved {
-			t.Errorf("%s: parallel cp did not prove optimality", name)
-		}
-		solvertest.RequireOptimal(t, cse, res.Order)
+	}
+	if tailPrunes == 0 {
+		t.Error("cp.tail_bound=true never pruned: the param does not reach the engine")
 	}
 }
 
-// TestSolveCPWorkerBudget: with a cp.workers budget the cp backend runs
-// its work-stealing proof search, still proves the conformance optima,
-// and its incumbent publications flow through the shared store without
-// corrupting the per-backend telemetry (the publish callback is invoked
-// concurrently from cp's internal workers).
-func TestSolveCPWorkerBudget(t *testing.T) {
+// TestSolveCPProvesConformance: raced alone, the cp backend proves the
+// conformance optima, and its incumbent publications flow through the
+// shared store without corrupting the per-backend telemetry.
+func TestSolveCPProvesConformance(t *testing.T) {
 	for _, cse := range solvertest.Cases(t) {
 		res, err := Solve(context.Background(), cse.C, cse.CS, Options{
 			Backends: []string{"cp"},
 			Budget:   20 * time.Second,
-			Params:   backend.Params{"cp.workers": 4},
 			Seed:     3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Proved {
-			t.Fatalf("%s: parallel cp did not prove optimality", cse.Name)
+			t.Fatalf("%s: cp did not prove optimality", cse.Name)
 		}
 		solvertest.RequireOptimal(t, cse, res.Order)
 		cpr := res.Backends[0]

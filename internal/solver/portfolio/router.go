@@ -258,7 +258,6 @@ func SolveSingle(ctx context.Context, c *model.Compiled, cs *constraint.Set, nam
 		cs = constraint.NewSet(c.N)
 	}
 	info := b.Info()
-	params := opt.Params.WithIntFallback("cp.workers", opt.CPWorkers)
 	budget := opt.Budget
 	if budget <= 0 {
 		budget = 10 * time.Second
@@ -316,17 +315,15 @@ func SolveSingle(ctx context.Context, c *model.Compiled, cs *constraint.Set, nam
 		StepLimit:   opt.StepLimit,
 		Seed:        opt.Seed,
 		Initial:     initial,
-		Params:      params,
+		Params:      opt.Params,
 		Publish:     publish,
 		Incumbent:   sh.BetterThan,
 		Bound:       sh.Objective,
-		Exporter:    opt.Exporter,
 	})
 	br.Wall = time.Since(start)
 	br.Objective = out.Objective
 	br.Proved = out.Proved && info.Kind == backend.KindExact
 	br.Iterations = out.Iterations
-	br.Workers = out.Workers
 	br.Counters = out.Counters
 	br.Err = out.Err
 	if out.Order != nil {

@@ -1,67 +1,93 @@
 // Corpus tests: the generated brute-force-verified instances exercise
-// the parallel CP engine across worker counts, canonical relabelings,
+// the exact engines across tail-bound settings, canonical relabelings,
 // and repeat runs. These are the hardening counterpart to the
-// per-feature conformance suite — run them under -race (CI does, with
-// GOMAXPROCS=2 and an oversubscribed -cpworkers override) to shake out
-// steal and incumbent races.
+// per-feature conformance suite.
 package solvertest_test
 
 import (
-	"flag"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/evolving-olap/idd/internal/codec"
+	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
+	"github.com/evolving-olap/idd/internal/solver/astar"
 	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
-// -cpworkers adds one more worker count to the sweep (CI uses it to run
-// the corpus with more CP workers than GOMAXPROCS, forcing steals and
-// preemption interleavings the default sweep might not hit).
-var extraWorkers = flag.Int("cpworkers", 0,
-	"additional CP worker count to sweep in the corpus tests (0 = none)")
-
-func cpWorkerCounts() []int {
-	counts := []int{1, 2, 8}
-	if *extraWorkers > 1 {
-		counts = append(counts, *extraWorkers)
-	}
-	return counts
+// proof is one exact engine's proved optimum.
+type proof struct {
+	order []int
+	obj   float64
 }
 
-// TestCorpusParallelCP proves every corpus instance at 1, 2 and 8
-// workers (plus any -cpworkers override): each run must certify
-// optimality, return a feasible optimal order, and report an objective
-// bit-identical to the single-worker proof — the evaluation core is
-// set-pure, so no steal schedule may perturb the returned optimum.
-// Bitwise equality relies on the optimum's objective value being unique
-// within the engine's 1e-12 improvement epsilon; for the corpus's
-// continuous random costs an epsilon-tie between distinct orders is a
-// measure-zero event (and empirically absent across schedules), which
-// is why this is safe to assert exactly where hand-crafted
-// integer-valued instances might legitimately tie.
-func TestCorpusParallelCP(t *testing.T) {
+// exactOptima proves an instance with every remaining exact engine — cp
+// with the tail bound off and on, and the subset-lattice A* — and
+// returns the proofs keyed by engine. Each run must certify optimality
+// with a feasible order whose replayed objective is bit-identical to
+// the reported one.
+func exactOptima(t *testing.T, c *model.Compiled, cs *constraint.Set) map[string]proof {
+	t.Helper()
+	tb := prune.NewTailBound(c, cs, prune.Options{})
+	out := map[string]proof{}
+	record := func(engine string, proved bool, order []int, obj float64) {
+		if !proved {
+			t.Fatalf("%s: search not exhausted", engine)
+		}
+		solvertest.RequireFeasible(t, c.N, cs, order)
+		if got := c.Objective(order); math.Float64bits(got) != math.Float64bits(obj) {
+			t.Fatalf("%s: reported objective %v != replayed %v", engine, obj, got)
+		}
+		out[engine] = proof{order, obj}
+	}
+	off := cp.Solve(c, cs, cp.Options{})
+	record("cp", off.Proved, off.Order, off.Objective)
+	on := cp.Solve(c, cs, cp.Options{TailBound: tb})
+	record("cp+tail", on.Proved, on.Order, on.Objective)
+	ares, err := astar.Solve(c, cs, astar.Options{})
+	if err != nil {
+		t.Fatalf("astar: %v", err)
+	}
+	record("astar", ares.Proved, ares.Order, ares.Objective)
+	return out
+}
+
+// requireBitIdentical fails unless every engine's proved objective has
+// the same bits, and returns that objective.
+func requireBitIdentical(t *testing.T, optima map[string]proof) float64 {
+	t.Helper()
+	ref := optima["cp"].obj
+	for engine, p := range optima {
+		if math.Float64bits(p.obj) != math.Float64bits(ref) {
+			t.Fatalf("%s: objective %v (%x) not bit-identical to cp's %v (%x)",
+				engine, p.obj, math.Float64bits(p.obj), ref, math.Float64bits(ref))
+		}
+	}
+	return ref
+}
+
+// TestCorpusExactEngines proves every corpus instance with cp (tail
+// bound off and on) and A*: each run must certify optimality, return a
+// feasible optimal order, and report an objective bit-identical across
+// engines — the evaluation core is set-pure, so no search order may
+// perturb the returned optimum. Bitwise equality relies on the
+// optimum's objective value being unique within the engines' 1e-12
+// improvement epsilon; for the corpus's continuous random costs an
+// epsilon-tie between distinct orders is a measure-zero event, which is
+// why this is safe to assert exactly where hand-crafted integer-valued
+// instances might legitimately tie.
+func TestCorpusExactEngines(t *testing.T) {
 	for _, cse := range solvertest.Corpus(t) {
 		cse := cse
 		t.Run(cse.Name, func(t *testing.T) {
-			var refBits uint64
-			for wi, w := range cpWorkerCounts() {
-				res := cp.Solve(cse.C, cse.CS, cp.Options{Workers: w, Seed: int64(w)})
-				if !res.Proved {
-					t.Fatalf("workers=%d: search not exhausted", w)
-				}
-				solvertest.RequireOptimal(t, cse, res.Order)
-				bits := math.Float64bits(res.Objective)
-				if wi == 0 {
-					refBits = bits
-				} else if bits != refBits {
-					t.Fatalf("workers=%d: objective %x not bit-identical to single-worker %x",
-						w, bits, refBits)
-				}
+			optima := exactOptima(t, cse.C, cse.CS)
+			requireBitIdentical(t, optima)
+			for _, p := range optima {
+				solvertest.RequireOptimal(t, cse, p.order)
 			}
 		})
 	}
@@ -111,7 +137,7 @@ func relabel(in *model.Instance, iperm, qperm []int, rng *rand.Rand) *model.Inst
 
 // TestCorpusMetamorphicRelabeling: a relabeled and reordered copy of a
 // corpus instance is the same problem, so (a) it canonicalizes to the
-// same hash and (b) the parallel CP proof on the copy lands on the same
+// same hash and (b) the CP proof on the copy lands on the same
 // optimal objective. The tolerance is relative machine epsilon — the
 // copy sums the same terms in a different query order, which may move
 // the last bits, but nothing beyond.
@@ -132,7 +158,7 @@ func TestCorpusMetamorphicRelabeling(t *testing.T) {
 				}
 				c2 := model.MustCompile(shuffled)
 				cs2 := sched.PrecedenceSet(shuffled)
-				res := cp.Solve(c2, cs2, cp.Options{Workers: 2})
+				res := cp.Solve(c2, cs2, cp.Options{})
 				if !res.Proved {
 					t.Fatal("relabeled proof not exhausted")
 				}
@@ -147,11 +173,11 @@ func TestCorpusMetamorphicRelabeling(t *testing.T) {
 	}
 }
 
-// TestCorpusSingleWorkerDeterminism: the single-worker engine is the
-// reproducibility anchor of the stack — two runs must walk the exact
+// TestCorpusCPDeterminism: the CP engine is the reproducibility anchor
+// of the stack — two runs must walk the exact
 // same tree: identical node/fail/solution counts, identical improving
 // sequences (bit for bit), identical final orders.
-func TestCorpusSingleWorkerDeterminism(t *testing.T) {
+func TestCorpusCPDeterminism(t *testing.T) {
 	type trace struct {
 		objs   []float64
 		result cp.Result
@@ -159,7 +185,6 @@ func TestCorpusSingleWorkerDeterminism(t *testing.T) {
 	run := func(cse *solvertest.Case) trace {
 		var tr trace
 		tr.result = cp.Solve(cse.C, cse.CS, cp.Options{
-			Workers: 1, Seed: 7,
 			OnSolution: func(_ []int, obj float64) { tr.objs = append(tr.objs, obj) },
 		})
 		return tr

@@ -1,9 +1,9 @@
 // Tight-cost corpus tests: near-uniform costs neutralize the generic
 // completion bound, so these instances are where the §5.5 tail bound
 // has to earn its keep — and where any unsoundness in it would surface
-// as a wrong "optimum". Every instance is proved at 1/2/8 workers with
-// the tail bound on and off (twenty proofs per instance) and all twenty
-// objectives must be bit-identical; n <= 12 instances are additionally
+// as a wrong "optimum". Every instance is proved by cp with the tail
+// bound off and on and by A*, and all three objectives must be
+// bit-identical; n <= 12 instances are additionally
 // anchored to exhaustive enumeration, so the cross-check is not
 // self-referential. The node-count assertions pin the bound's two
 // contracts: it may only remove subtrees (per-instance <=) and it must
@@ -22,8 +22,8 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
-// TestTightCorpusProofs: bit-identical proved optima across every
-// worker count × tail-bound setting, brute-force anchored where
+// TestTightCorpusProofs: bit-identical proved optima across the exact
+// engines and tail-bound settings, brute-force anchored where
 // enumeration reaches.
 func TestTightCorpusProofs(t *testing.T) {
 	var nodesOn, nodesOff int64
@@ -33,57 +33,24 @@ func TestTightCorpusProofs(t *testing.T) {
 			c := model.MustCompile(in)
 			cs := sched.PrecedenceSet(in)
 			tb := prune.NewTailBound(c, cs, prune.Options{})
-
-			var refBits uint64
-			first := true
-			for _, w := range cpWorkerCounts() {
-				for _, withTail := range []bool{false, true} {
-					opt := cp.Options{Workers: w, Seed: int64(w)}
-					if withTail {
-						opt.TailBound = tb
-					}
-					res := cp.Solve(c, cs, opt)
-					if !res.Proved {
-						t.Fatalf("workers=%d tail=%v: proof not exhausted", w, withTail)
-					}
-					solvertest.RequireFeasible(t, c.N, cs, res.Order)
-					if got := c.Objective(res.Order); math.Float64bits(got) != math.Float64bits(res.Objective) {
-						t.Fatalf("workers=%d tail=%v: reported objective %v != replayed %v",
-							w, withTail, res.Objective, got)
-					}
-					bits := math.Float64bits(res.Objective)
-					if first {
-						refBits = bits
-						first = false
-					} else if bits != refBits {
-						t.Fatalf("workers=%d tail=%v: objective %x not bit-identical to reference %x",
-							w, withTail, bits, refBits)
-					}
-					if w == 1 {
-						if withTail {
-							nodesOn += res.Nodes
-						} else {
-							nodesOff += res.Nodes
-						}
-					}
-				}
-			}
+			ref := requireBitIdentical(t, exactOptima(t, c, cs))
 
 			// The tail bound only ever removes provably dominated
-			// subtrees, so the serial tree with it on is a subset of the
+			// subtrees, so the tree with it on is a subset of the
 			// tree with it off.
-			onRes := cp.Solve(c, cs, cp.Options{Workers: 1, TailBound: tb})
-			offRes := cp.Solve(c, cs, cp.Options{Workers: 1})
+			onRes := cp.Solve(c, cs, cp.Options{TailBound: tb})
+			offRes := cp.Solve(c, cs, cp.Options{})
 			if onRes.Nodes > offRes.Nodes {
 				t.Fatalf("tail bound grew the tree: %d nodes with, %d without", onRes.Nodes, offRes.Nodes)
 			}
+			nodesOn += onRes.Nodes
+			nodesOff += offRes.Nodes
 
 			if c.N <= bruteforce.MaxN {
 				bf, err := bruteforce.Solve(c, cs, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := math.Float64frombits(refBits)
 				if math.Abs(ref-bf.Objective) > 1e-9*(1+bf.Objective) {
 					t.Fatalf("cp optimum %v != bruteforce %v", ref, bf.Objective)
 				}
@@ -93,14 +60,14 @@ func TestTightCorpusProofs(t *testing.T) {
 	if nodesOn >= nodesOff {
 		t.Fatalf("tail bound pruned nothing across the corpus: %d nodes with, %d without", nodesOn, nodesOff)
 	}
-	t.Logf("tail bound: %d serial nodes with vs %d without (%.1f%% pruned)",
+	t.Logf("tail bound: %d nodes with vs %d without (%.1f%% pruned)",
 		nodesOn, nodesOff, 100*(1-float64(nodesOn)/float64(nodesOff)))
 }
 
-// TestTightCorpusSingleWorkerDeterminism: the serial engine with the
+// TestTightCorpusCPDeterminism: the CP engine with the
 // pooled candidate rows and the tail bound enabled must stay the
 // reproducibility anchor — two runs walk the exact same tree.
-func TestTightCorpusSingleWorkerDeterminism(t *testing.T) {
+func TestTightCorpusCPDeterminism(t *testing.T) {
 	for _, in := range solvertest.TightCorpusInstances() {
 		in := in
 		t.Run(in.Name, func(t *testing.T) {
@@ -110,7 +77,7 @@ func TestTightCorpusSingleWorkerDeterminism(t *testing.T) {
 			run := func() ([]float64, cp.Result) {
 				var objs []float64
 				res := cp.Solve(c, cs, cp.Options{
-					Workers: 1, TailBound: tb,
+					TailBound:  tb,
 					OnSolution: func(_ []int, obj float64) { objs = append(objs, obj) },
 				})
 				return objs, res

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Assert the cp_parallel benchmarks stay under pinned allocation
-ceilings.
+"""Assert the cp benchmarks stay under pinned allocation ceilings.
 
 Reads a BENCH_eval.json produced (or section-merged) by
-scripts/bench.sh and fails if any BenchmarkCPParallel_* entry reports
-more allocs/op than its ceiling. The ceilings are set ~4-10x above the
+scripts/bench.sh and fails if any BenchmarkCP_* entry reports more
+allocs/op than its ceiling. The ceilings are set ~4-10x above the
 measured post-rewrite values (tens to hundreds of allocations per
 complete proof — fixed per-solve setup, nothing per node), and 4-6
 orders of magnitude below the pre-rewrite state (28M allocs for the
@@ -19,19 +18,10 @@ Usage: scripts/check_alloc_ceilings.py [BENCH_eval.json]
 import json
 import sys
 
-# allocs/op ceilings per benchmark. The W>1 budgets scale with worker
-# count: each worker allocates its own searcher arenas plus a bounded
-# frame-pool warmup.
+# allocs/op ceilings per benchmark.
 CEILINGS = {
-    "BenchmarkCPParallel_ProofN20Low_W1": 500,
-    "BenchmarkCPParallel_ProofN20Low_W2": 1_500,
-    "BenchmarkCPParallel_ProofN20Low_W8": 5_000,
-    # Fully instrumented 4-worker proof: search Stats, an OnSolution
-    # callback and a per-node ExternalBound poll all live. Same budget
-    # scaling as the plain W>1 runs — observability must not allocate.
-    "BenchmarkCPParallel_ProofN20Low_W4Instrumented": 3_000,
-    "BenchmarkCPParallel_TPCH31Nodes_W1": 500,
-    "BenchmarkCPParallel_TPCH31Nodes_W8": 5_000,
+    "BenchmarkCP_ProofN20Low": 500,
+    "BenchmarkCP_TPCH31Nodes": 500,
 }
 
 
