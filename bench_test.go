@@ -18,6 +18,7 @@ import (
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/randgen"
 	"github.com/evolving-olap/idd/internal/sched"
+	"github.com/evolving-olap/idd/internal/solver/astar"
 	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/dp"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
@@ -261,6 +262,29 @@ func BenchmarkCP_TPCH31Nodes(b *testing.B) {
 			b.Fatalf("search ended after %d nodes", res.Nodes)
 		}
 	}
+}
+
+// BenchmarkAStar_ProofN20Full measures the default exact prover for
+// n ≤ 24 on the hardest TPC-H reduction it proves in well under a
+// second: the complete A* proof of reduced TPC-H n=20 full under the
+// analyzed constraints. Its state arena, open list and subset table grow
+// by doubling, so allocs/op tracks the number of doublings (logarithmic
+// in the pushed states), never the state count; the ceiling in
+// scripts/check_alloc_ceilings.py holds it there. expanded/op is the
+// deterministic work count.
+func BenchmarkAStar_ProofN20Full(b *testing.B) {
+	c := model.MustCompile(datasets.ReducedTPCH(20, datasets.Full))
+	cs, _ := prune.Analyze(c, prune.Options{})
+	var res astar.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = astar.Solve(c, cs, astar.Options{})
+		if err != nil || !res.Proved {
+			b.Fatalf("proof did not complete: %v", err)
+		}
+	}
+	b.ReportMetric(float64(res.Expanded), "expanded/op")
 }
 
 // --- Portfolio: concurrent racing with a shared incumbent ---

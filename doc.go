@@ -15,13 +15,14 @@
 //
 // Optimality proofs come from two exact engines. internal/solver/astar
 // searches the 2^n lattice of deployed sets (a prefix affects its
-// completion only through its set) and proves every instance it can
-// hold in memory; internal/solver/cp is a serial, deterministic
-// branch-and-prune DFS with an allocation-free descent loop and the
-// §5.5 tail bound (-param cp.tail_bound), which proves small instances,
-// serves as LNS's sub-solver, and keeps improving incumbents on
-// instances of any size. See README.md's "CP proof search" subsection
-// for the A*-versus-CP ladder.
+// completion only through its set) on a parent-pointer state arena, and
+// is the only default prover up to 24 indexes; internal/solver/cp is a
+// serial, deterministic branch-and-prune DFS with an allocation-free
+// descent loop and the §5.5 tail bound (-param cp.tail_bound), which
+// races as the prover beyond A*'s reach, serves as LNS's sub-solver,
+// and keeps improving incumbents on instances of any size. Brute force
+// stays registered as the conformance anchor, run only on request. See
+// README.md's "CP proof search" subsection for the A*-versus-CP ladder.
 //
 // The solvers plug into everything else through the self-describing
 // registry in internal/solver/backend: each solver package registers a
@@ -40,7 +41,8 @@
 // exposition linter). The CP engine counts its search — nodes and the
 // prune-cause breakdown (incumbent bound / tail bound / infeasible,
 // summing exactly to fails) — in plain ints on the descent path, so the
-// allocation-free guarantees hold with counters live;
+// allocation-free guarantees hold with counters live; A* reports its
+// expansions, distinct states, pushed states and arena bytes;
 // results surface the counters through backend.Outcome and
 // portfolio.BackendResult into iddsolve -json and the service API. Each
 // service job additionally records a flight-recorder trace (queued →

@@ -147,7 +147,8 @@ func (b *Batch) eventsSince(seq int) (evs []Event, terminal bool, notify <-chan 
 
 // itemDone records one finished sub-solve: an "item" event in
 // completion order, and the terminal "batch_done" when it was the last.
-// Reports whether the batch just turned terminal.
+// Reports whether the batch just turned terminal; the caller then
+// records its retention and only after that closes b.done.
 func (b *Batch) itemDone(index int, j *Job) bool {
 	st := j.Status()
 	ev := Event{Type: EventItem, Item: intPtr(index), JobID: j.ID, State: st.State}
@@ -167,7 +168,6 @@ func (b *Batch) itemDone(index int, j *Job) bool {
 	}
 	b.finishedAt = time.Now()
 	b.appendEvent(Event{Type: EventBatchDone, State: "done"})
-	close(b.done)
 	return true
 }
 
@@ -238,14 +238,13 @@ func (m *Manager) SubmitBatch(instances []*model.Instance, p Params) (*Batch, er
 	if live == 0 {
 		b.finishedAt = time.Now()
 		b.appendEvent(Event{Type: EventBatchDone, State: "done"})
-		close(b.done)
 	}
 
 	m.mu.Lock()
 	m.batches[b.ID] = b
 	m.mu.Unlock()
 	if live == 0 {
-		m.noteFinishedBatch(b.ID)
+		m.finishBatch(b)
 	}
 
 	// One watcher per live item relays job completion into the batch
@@ -257,7 +256,7 @@ func (m *Manager) SubmitBatch(instances []*model.Instance, p Params) (*Batch, er
 		go func(index int, j *Job) {
 			<-j.Done()
 			if b.itemDone(index, j) {
-				m.noteFinishedBatch(b.ID)
+				m.finishBatch(b)
 			}
 		}(i, it.job)
 	}
@@ -293,14 +292,16 @@ func (m *Manager) CancelBatch(id string) error {
 	return nil
 }
 
-// noteFinishedBatch records a terminal batch and evicts the oldest
-// beyond the retention cap.
-func (m *Manager) noteFinishedBatch(id string) {
+// finishBatch records a terminal batch, evicts the oldest beyond the
+// retention cap, and only then closes the batch's done channel, so a
+// waiter woken by Done() already finds the retention bookkeeping done.
+func (m *Manager) finishBatch(b *Batch) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finishedBatches = append(m.finishedBatches, id)
+	m.finishedBatches = append(m.finishedBatches, b.ID)
 	for len(m.finishedBatches) > maxFinishedBatches {
 		delete(m.batches, m.finishedBatches[0])
 		m.finishedBatches = m.finishedBatches[1:]
 	}
+	m.mu.Unlock()
+	close(b.done)
 }

@@ -576,3 +576,59 @@ func TestBatchValidation(t *testing.T) {
 		t.Errorf("unknown batch: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestBatchDoneFollowsRetention: a terminal batch is recorded in the
+// retention list before Done() is closed, so a waiter woken by Done()
+// already finds it there — for batches whose items ran and for one
+// whose only item failed submission.
+func TestBatchDoneFollowsRetention(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	retainedLocked := func(id string) bool {
+		for _, f := range m.finishedBatches {
+			if f == id {
+				return true
+			}
+		}
+		return false
+	}
+	p := Params{Backends: []string{"greedy"}, Budget: Duration(time.Second)}
+	for k := int64(1); k <= 5; k++ {
+		p.Seed = k
+		b, err := m.SubmitBatch([]*model.Instance{slowInstance(k)}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-b.Jobs()[0].Done()
+		// Hold the manager lock while the batch turns terminal: the
+		// retention bookkeeping needs it, so a Done() that fires inside
+		// this window must find the batch retained already.
+		m.mu.Lock()
+		select {
+		case <-b.Done():
+			if !retainedLocked(b.ID) {
+				m.mu.Unlock()
+				t.Fatalf("batch %d: Done() closed before its retention was recorded", k)
+			}
+		case <-time.After(20 * time.Millisecond):
+		}
+		m.mu.Unlock()
+		<-b.Done()
+		m.mu.Lock()
+		ok := retainedLocked(b.ID)
+		m.mu.Unlock()
+		if !ok {
+			t.Fatalf("batch %d: not retained after Done()", k)
+		}
+	}
+	b, err := m.SubmitBatch([]*model.Instance{{}}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-b.Done()
+	m.mu.Lock()
+	ok := retainedLocked(b.ID)
+	m.mu.Unlock()
+	if !ok {
+		t.Fatal("all-failed batch: not retained after Done()")
+	}
+}

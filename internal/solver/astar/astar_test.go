@@ -1,14 +1,18 @@
 package astar
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/randgen"
 	"github.com/evolving-olap/idd/internal/sched"
+	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/bruteforce"
 )
 
@@ -104,5 +108,69 @@ func TestSubsetDeduplicationBoundsStates(t *testing.T) {
 	}
 	if res.Expanded > res.States {
 		t.Errorf("expanded %d > states %d: dedup is broken", res.Expanded, res.States)
+	}
+}
+
+// TestPinnedWorkTPCH pins A*'s deterministic search effort on TPC-H
+// reductions under the analyzed constraint set: the expansion sequence
+// depends only on the instance, the heuristic's bits and the open
+// list's tie-breaking, so any drift in those shows up here as a changed
+// count, not as a slower proof.
+func TestPinnedWorkTPCH(t *testing.T) {
+	for _, tc := range []struct {
+		n                int
+		d                datasets.Density
+		expanded, states int64
+	}{
+		{16, datasets.Full, 3534, 16643},
+		{18, datasets.Mid, 6850, 16080},
+		{18, datasets.Full, 50377, 101607},
+		{20, datasets.Mid, 20702, 46823},
+	} {
+		c := model.MustCompile(datasets.ReducedTPCH(tc.n, tc.d))
+		cs, _ := prune.Analyze(c, prune.Options{})
+		res, err := Solve(c, cs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Proved {
+			t.Fatalf("r%d_%v: not proved", tc.n, tc.d)
+		}
+		if res.Expanded != tc.expanded || res.States != tc.states {
+			t.Errorf("r%d_%v: expanded/states = %d/%d, want %d/%d",
+				tc.n, tc.d, res.Expanded, res.States, tc.expanded, tc.states)
+		}
+	}
+}
+
+// TestCountersMirrorResult: the telemetry the backend reports is
+// exactly the search's four effort counters, and the memory counter is
+// a deterministic function of the instance.
+func TestCountersMirrorResult(t *testing.T) {
+	in, c := inst(5, 11)
+	cs := sched.PrecedenceSet(in)
+	res, err := Solve(c, cs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{
+		"expanded":    res.Expanded,
+		"states":      res.States,
+		"pushed":      res.Pushed,
+		"arena_bytes": res.ArenaBytes,
+	}
+	out := asBackend{}.Solve(context.Background(), backend.Request{Compiled: c, Constraints: cs})
+	for _, got := range []map[string]int64{res.Counters(), out.Counters} {
+		if len(got) != len(want) {
+			t.Fatalf("counters %v, want exactly the keys of %v", got, want)
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Errorf("counter %s = %d, want %d", k, got[k], v)
+			}
+		}
+	}
+	if res.Expanded == 0 || res.States > res.Pushed || res.Expanded > res.States || res.ArenaBytes <= 0 {
+		t.Fatalf("inconsistent effort counters: %v", want)
 	}
 }

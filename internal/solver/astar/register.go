@@ -37,5 +37,6 @@ func (asBackend) Solve(ctx context.Context, req backend.Request) backend.Outcome
 	return backend.Outcome{
 		Order: res.Order, Objective: res.Objective,
 		Proved: res.Proved, Iterations: res.Expanded,
+		Counters: res.Counters(),
 	}
 }

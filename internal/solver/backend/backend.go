@@ -77,7 +77,8 @@ type Info struct {
 	Proves bool
 	// Applicable reports whether the backend belongs in the default
 	// portfolio set for an instance (nil = always). Enumerative solvers
-	// use it to bow out beyond their tractable size.
+	// use it to bow out beyond their tractable size, and dominated
+	// provers where a stronger one applies.
 	Applicable func(c *model.Compiled) bool
 	// Params declares the typed knobs this backend reads from
 	// Request.Params. Names must be prefixed "<backend-name>.".

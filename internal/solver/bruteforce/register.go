@@ -8,11 +8,6 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
-// maxDefaultN bounds the instances brute force volunteers for in the
-// portfolio's default selection (10! ≈ 3.6M permutations — still
-// instant with the admissible bound).
-const maxDefaultN = 10
-
 func init() { backend.Register(asBackend{}) }
 
 // asBackend adapts exhaustive enumeration to the registry contract.
@@ -20,12 +15,15 @@ type asBackend struct{}
 
 func (asBackend) Info() backend.Info {
 	return backend.Info{
-		Name:       "bruteforce",
-		Kind:       backend.KindExact,
-		Rank:       30,
-		Proves:     true,
-		Summary:    "bounded exhaustive enumeration; ground truth for tiny instances",
-		Applicable: func(c *model.Compiled) bool { return c.N <= maxDefaultN },
+		Name:    "bruteforce",
+		Kind:    backend.KindExact,
+		Rank:    30,
+		Proves:  true,
+		Summary: "bounded exhaustive enumeration; the conformance anchor, explicit only",
+		// Never in the default set: A* proves every instance brute force
+		// can enumerate in a fraction of the time. Brute force stays
+		// registered as the conformance anchor and for explicit use.
+		Applicable: func(*model.Compiled) bool { return false },
 	}
 }
 

@@ -3,7 +3,9 @@ package cp
 import (
 	"context"
 
+	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/prune"
+	"github.com/evolving-olap/idd/internal/solver/astar"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
@@ -26,7 +28,11 @@ func (asBackend) Info() backend.Info {
 		Kind:    backend.KindExact,
 		Rank:    50,
 		Proves:  true,
-		Summary: "branch-and-prune CP search (§6)",
+		Summary: "branch-and-prune CP search (§6); the default prover beyond A*'s reach",
+		// In the default set only beyond A*'s reach: wherever A* applies
+		// it proves the same optimum orders of magnitude sooner. CP
+		// remains LNS's sub-solver and explicitly selectable at any n.
+		Applicable: func(c *model.Compiled) bool { return c.N > astar.MaxN },
 		Params: []backend.ParamSpec{
 			{Name: ParamTailBound, Type: backend.ParamBool, Default: true,
 				Help: "fold exact tail-completion tables (§5.5) into the in-search lower bound"},

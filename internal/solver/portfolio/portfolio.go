@@ -357,9 +357,10 @@ func Names() []string { return backend.Names() }
 
 // Default picks the backends applicable to an instance, derived from
 // each registered backend's declared applicability predicate: the cheap
-// constructive solvers and every anytime search always volunteer; the
-// enumerative exact solvers and the MIP bow out when the instance is
-// too large for them to contribute within a portfolio slice.
+// constructive solvers and every anytime search always volunteer; A* is
+// the one exact prover up to astar.MaxN indexes and cp beyond it; brute
+// force never races by default, and the MIP bows out when the instance
+// is too large for it to contribute within a portfolio slice.
 func Default(c *model.Compiled) []string { return backend.Default(c) }
 
 // Solve races the configured backends and returns the best schedule found
@@ -483,12 +484,10 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 					slice = time.Millisecond
 				}
 				bctx, bcancel := context.WithTimeout(parent, slice)
-				// A backend may invoke its publish callback from internal
-				// worker goroutines (the parallel cp does; it happens to
-				// serialize them under its incumbent lock, but that is
-				// cp's implementation detail); the orchestrator guards
-				// br's contribution counters with its own mutex instead
-				// of relying on any backend's internal locking. Backends
+				// A backend may invoke its publish callback from
+				// goroutines of its own, so the orchestrator guards br's
+				// contribution counters with its own mutex instead of
+				// relying on any backend's internal locking. Backends
 				// join their goroutines before returning, so br is
 				// settled when it is read below.
 				var pubMu sync.Mutex

@@ -13,6 +13,7 @@ import (
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/randgen"
 	"github.com/evolving-olap/idd/internal/sched"
+	"github.com/evolving-olap/idd/internal/solver/astar"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
@@ -113,23 +114,40 @@ func TestStoreConcurrentOffers(t *testing.T) {
 	}
 }
 
+// TestDefaultBackendSelection pins the default roster policy: A* is
+// the only exact prover wherever it applies (n ≤ astar.MaxN), cp takes
+// over beyond that, and brute force and mip never race by default on
+// large instances.
 func TestDefaultBackendSelection(t *testing.T) {
-	small := model.MustCompile(datasets.ReducedTPCH(6, datasets.Low))
-	names := Default(small)
-	want := map[string]bool{"bruteforce": true, "astar": true, "cp": true, "greedy": true}
-	got := map[string]bool{}
-	for _, n := range names {
-		got[n] = true
+	has := func(names []string, want string) bool {
+		for _, n := range names {
+			if n == want {
+				return true
+			}
+		}
+		return false
 	}
-	for n := range want {
-		if !got[n] {
-			t.Errorf("Default(n=6) missing %s (got %v)", n, names)
+	small := Default(model.MustCompile(datasets.ReducedTPCH(6, datasets.Low)))
+	for _, want := range []string{"astar", "greedy"} {
+		if !has(small, want) {
+			t.Errorf("Default(n=6) missing %s (got %v)", want, small)
+		}
+	}
+	for _, n := range []int{6, 12, 18, astar.MaxN} {
+		names := Default(model.MustCompile(datasets.ReducedTPCH(n, datasets.Full)))
+		for _, dominated := range []string{"cp", "bruteforce"} {
+			if has(names, dominated) {
+				t.Errorf("Default(n=%d) includes %s, which A* dominates (got %v)", n, dominated, names)
+			}
 		}
 	}
 
-	big := model.MustCompile(datasets.TPCDS())
-	for _, n := range Default(big) {
-		if n == "bruteforce" || n == "mip" {
+	big := Default(model.MustCompile(datasets.TPCDS()))
+	if !has(big, "cp") {
+		t.Errorf("Default(tpcds) missing cp, the prover beyond A*'s reach (got %v)", big)
+	}
+	for _, n := range big {
+		if n == "bruteforce" || n == "mip" || n == "astar" {
 			t.Errorf("Default(tpcds) includes intractable backend %s", n)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/sched"
+	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
@@ -117,15 +118,50 @@ func TestRouteConformanceCorpus(t *testing.T) {
 	}
 }
 
+// steerN is the only instance size the steering backends below apply
+// to, so they join the prover set of TestRouterTelemetrySteers and of no
+// other test in this package.
+const steerN = 3
+
+// steerBackend is an exact prover registered from this file so the
+// router has several provers to choose between: since A* became the
+// only default prover for n ≤ astar.MaxN, the built-in roster offers
+// one. It proves by delegating to A*.
+type steerBackend struct {
+	name string
+	rank int
+}
+
+func init() {
+	backend.Register(steerBackend{"zsteer-a", 41})
+	backend.Register(steerBackend{"zsteer-b", 42})
+}
+
+func (s steerBackend) Info() backend.Info {
+	return backend.Info{
+		Name: s.name, Kind: backend.KindExact, Rank: s.rank, Proves: true,
+		Summary:    "test-only exact prover (delegates to astar)",
+		Applicable: func(c *model.Compiled) bool { return c.N == steerN },
+	}
+}
+
+func (steerBackend) Solve(ctx context.Context, req backend.Request) backend.Outcome {
+	b, _ := backend.Lookup("astar")
+	return b.Solve(ctx, req)
+}
+
 // TestRouterTelemetrySteers: the router explores every applicable exact
 // prover routeMinAttempts times per class, then exploits the best mean
 // proof wall time; a class where no prover ever proves loses its fast
 // path entirely.
 func TestRouterTelemetrySteers(t *testing.T) {
-	in := datasets.ReducedTPCH(6, datasets.Low)
+	in := datasets.ReducedTPCH(steerN, datasets.Low)
 	c := model.MustCompile(in)
 	cs := sched.PrecedenceSet(in)
 	f := FeaturesOf(c, cs)
+	if got := backend.ExactProvers(c); len(got) != 3 {
+		t.Fatalf("ExactProvers(n=%d) = %v, want astar and the two steering backends", steerN, got)
+	}
 
 	// Exploration: a cold router starts at the rank-order pick, then
 	// spreads attempts across the least-sampled applicable provers.
@@ -134,40 +170,43 @@ func TestRouterTelemetrySteers(t *testing.T) {
 	if !ok {
 		t.Fatal("not routed")
 	}
+	if first != "astar" {
+		t.Fatalf("cold route = %q, want the rank-order pick astar", first)
+	}
 	r.Observe(f, first, true, 80*time.Millisecond)
 	second, _ := r.Route(c, cs)
 	if second == first {
 		t.Fatalf("router did not explore past %q after it was sampled", first)
 	}
 
-	// Exploitation: keep following Route's choice, reporting cp as by far
-	// the cheapest prover. Exploration visits every prover at least
-	// routeMinAttempts times, after which Route must settle on cp
-	// despite its rank.
-	sawCP := false
+	// Exploitation: keep following Route's choice, reporting zsteer-b as
+	// by far the cheapest prover. Exploration visits every prover at
+	// least routeMinAttempts times, after which Route must settle on
+	// zsteer-b despite its rank.
+	sawFast := false
 	for i := 0; i < 20; i++ {
 		name, ok := r.Route(c, cs)
 		if !ok {
 			t.Fatal("routing vanished mid-exploration")
 		}
 		wall := 80 * time.Millisecond
-		if name == "cp" {
+		if name == "zsteer-b" {
 			wall = time.Millisecond
-			sawCP = true
+			sawFast = true
 		}
 		r.Observe(f, name, true, wall)
 	}
-	if !sawCP {
-		t.Fatal("exploration never sampled cp")
+	if !sawFast {
+		t.Fatal("exploration never sampled zsteer-b")
 	}
-	if got, _ := r.Route(c, cs); got != "cp" {
-		t.Errorf("Route after full telemetry = %q, want cp", got)
+	if got, _ := r.Route(c, cs); got != "zsteer-b" {
+		t.Errorf("Route after full telemetry = %q, want zsteer-b", got)
 	}
 
 	// Unproved observations count as attempts but never as proofs, and
 	// empty winners are ignored outright.
 	r2 := NewRouter(12)
-	r2.Observe(f, "cp", false, time.Nanosecond)
+	r2.Observe(f, "zsteer-b", false, time.Nanosecond)
 	r2.Observe(f, "", true, time.Nanosecond)
 	if got, _ := r2.Route(c, cs); got != first {
 		t.Errorf("unproved observation changed cold routing: %q, want %q", got, first)
@@ -193,6 +232,34 @@ func TestRouterTelemetrySteers(t *testing.T) {
 		}
 		if total > 100 {
 			t.Fatal("router never gave up on a proofless class")
+		}
+	}
+}
+
+// TestColdRouterRoutesToAStar: with A* the only default exact prover
+// below astar.MaxN, a fresh router sends the fast-path sizes straight
+// to it — no exploration of a dominated prover on the first requests —
+// and the routed solve proves.
+func TestColdRouterRoutesToAStar(t *testing.T) {
+	for _, n := range []int{10, 12} {
+		for _, d := range []datasets.Density{datasets.Low, datasets.Mid, datasets.Full} {
+			in := datasets.ReducedTPCH(n, d)
+			c := model.MustCompile(in)
+			cs := sched.PrecedenceSet(in)
+			name, ok := NewRouter(0).Route(c, cs)
+			if !ok || name != "astar" {
+				t.Fatalf("n=%d %v: cold route = %q (ok=%v), want astar", n, d, name, ok)
+			}
+			res, err := SolveSingle(context.Background(), c, cs, name, Options{
+				Budget: 30 * time.Second, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Proved {
+				t.Errorf("n=%d %v: routed astar solve did not prove", n, d)
+			}
+			solvertest.RequireFeasible(t, c.N, cs, res.Order)
 		}
 	}
 }

@@ -5,14 +5,16 @@
 #
 # The "cp" summary records the wall clock of the complete optimality
 # proof of the reduced TPC-H n=20 low instance and of a fixed 2M-node
-# search on the full n=31 TPC-H instance, stamped with the runner's
-# "cpus"/"gomaxprocs".
+# search on the full n=31 TPC-H instance, plus the complete A* proof of
+# the reduced TPC-H n=20 full instance (the default prover for n <= 24),
+# stamped with the runner's "cpus"/"gomaxprocs".
 #
 # Usage:
 #   scripts/bench.sh                 # run + write BENCH_eval.json
 #   COUNT=10 scripts/bench.sh        # more repetitions
 #   scripts/bench.sh --section cp
-#       rerun ONLY that section's benchmarks and merge them into the
+#       rerun ONLY that section's benchmarks (the exact provers: CP and
+#       A*) and merge them into the
 #       existing BENCH_eval.json (other sections untouched). This is how
 #       the cp numbers get regenerated on other hardware without redoing
 #       the evaluation-core suite; the section records its own "cpus"
@@ -62,7 +64,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN="${PATTERN:-BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop|^BenchmarkCP_}"
+PATTERN="${PATTERN:-BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop|^Benchmark(CP|AStar)_}"
 OUT="${OUT:-BENCH_eval.json}"
 SEED_REF="${SEED_REF:-}"
 
@@ -174,7 +176,7 @@ EOF
 fi
 if [ -n "$SECTION" ]; then
     case "$SECTION" in
-        cp) PATTERN='^BenchmarkCP_' ;;
+        cp) PATTERN='^Benchmark(CP|AStar)_' ;;
         eval) PATTERN='BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop' ;;
         *) echo "bench.sh: unknown section '$SECTION' (sections: cp, eval, serve, cluster, resolve)" >&2; exit 2 ;;
     esac
@@ -326,12 +328,14 @@ END {
     printf "  ],\n"
     proof = "BenchmarkCP_ProofN20Low"
     nodes = "BenchmarkCP_TPCH31Nodes"
+    astar = "BenchmarkAStar_ProofN20Full"
     if ((proof in med) && (nodes in med)) {
         printf "  \"cp\": {\n"
         printf "    \"proof_instance\": \"reduced-tpch-n20-low (analyzed constraints, greedy incumbent, tail bound)\",\n"
         printf "    \"proof_ns\": %g,\n", med[proof]
-        printf "    \"tpch31_2m_nodes_ns\": %g\n", med[nodes]
-        printf "  },\n"
+        printf "    \"tpch31_2m_nodes_ns\": %g", med[nodes]
+        if (astar in med) printf ",\n    \"astar_proof_instance\": \"reduced-tpch-n20-full (analyzed constraints)\",\n    \"astar_proof_ns\": %g", med[astar]
+        printf "\n  },\n"
     }
     printf "  \"raw\": [\n"
     for (i = 1; i <= nraw; i++)
