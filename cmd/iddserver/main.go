@@ -129,7 +129,7 @@ func main() {
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant submission burst (0 = 2×rate+1)")
 		tenantQueue = flag.Int("tenant-queue", 0, "per-tenant queued-run quota (0 = no per-tenant cap)")
 		maxBatch    = flag.Int("max-batch", 64, "instances accepted per POST /batch")
-		fastpathN   = flag.Int("fastpath-max-n", 0, "route instances with at most this many indexes straight to an exact backend (0 = default 12, negative = disable)")
+		fastpathN   = flag.Int("fastpath-max-n", 0, "route instances with at most this many indexes straight to an exact backend (0 = default 12, capped at 24, negative = disable)")
 	)
 	flag.Var(&rawParams, "param", "server-wide default backend param as key=value (repeatable; see GET /solvers)")
 	flag.Parse()

@@ -239,7 +239,7 @@ func main() {
 	}
 	stream.Body.Close()
 
-	// Small instances skip the portfolio race entirely: the feature
+	// Small instances skip the portfolio race entirely: the size
 	// router sends them straight to one exact backend, proof included —
 	// the result says so.
 	resp, err = http.Get(ts.URL + "/batch/" + batch.ID)

@@ -64,7 +64,8 @@ type Config struct {
 	// FastPathMaxN is the routing size threshold: instances with at most
 	// this many indexes (and no explicit backend list) skip the
 	// portfolio race and run one exact backend to a proof
-	// (0 = portfolio.DefaultFastPathMaxN; negative disables routing).
+	// (0 = portfolio.DefaultFastPathMaxN; values above astar.MaxN = 24
+	// are capped at 24; negative disables routing).
 	FastPathMaxN int
 	// NodeName, when non-empty, prefixes every generated job/batch/
 	// session id as "<node>-<hex>". In cluster mode each node names
@@ -527,12 +528,8 @@ func (m *Manager) Metrics() MetricsSnapshot {
 	tenants := m.sched.depths()
 	m.mu.Unlock()
 	return m.metrics.snapshot(m.cfg.Workers, depth, m.cfg.QueueCap, running,
-		m.cache.len(), m.cfg.CacheSize, tenants, m.router.Snapshot())
+		m.cache.len(), m.cfg.CacheSize, tenants)
 }
-
-// Router exposes the fast-path router (telemetry for tests and
-// embedders).
-func (m *Manager) Router() *portfolio.Router { return m.router }
 
 // ObsRegistry returns the manager's metric registry (for the Prometheus
 // text rendering of GET /metrics and for embedders that want to add
@@ -1058,34 +1055,32 @@ func (m *Manager) execute(r *run) {
 		return f(ctx)
 	}
 
-	features := portfolio.FeaturesOf(c, cs)
 	start := time.Now()
 	var res portfolio.Result
-	routed := false
+	routed, race := false, true
 	// Fast path: when the request doesn't pin a backend set and the
 	// instance is small, run one applicable exact backend straight to a
 	// proof instead of racing the whole portfolio. The proof guarantees
 	// the objective is identical to what the race would return; if it
-	// doesn't land within budget, fall back to the full race.
+	// doesn't land within budget, fall back to the full race. A routed
+	// solve cut short by cancellation or a drain timeout keeps its
+	// incumbent instead: a race on the dead context would skip every
+	// backend.
 	if len(r.params.Backends) == 0 {
 		if name, ok := m.router.Route(c, cs); ok {
 			res, err = solveWith(func(ctx context.Context) (portfolio.Result, error) {
 				return portfolio.SolveSingle(ctx, c, cs, name, opts)
 			})
-			switch {
-			case err == nil && res.Proved:
-				routed = true
+			routed = err == nil && res.Proved
+			race = err == nil && !routed && r.ctx.Err() == nil
+			if routed {
 				m.metrics.fastpathRouted.With(name).Inc()
-			case err == nil:
-				// Charge the failed attempt to the routed backend so the
-				// router explores past it (and eventually stops
-				// fast-pathing a class that never proves in budget).
-				m.router.Observe(features, name, false, 0)
+			} else if race {
 				m.metrics.fastpathFallback.Add(1)
 			}
 		}
 	}
-	if !routed && err == nil {
+	if race {
 		res, err = solveWith(func(ctx context.Context) (portfolio.Result, error) {
 			return portfolio.Solve(ctx, c, cs, opts)
 		})
@@ -1095,9 +1090,6 @@ func (m *Manager) execute(r *run) {
 		m.fail(r, err)
 		return
 	}
-	// Both paths teach the router which exact backend proves fastest
-	// for this feature class.
-	m.router.Observe(features, res.Winner, res.Proved, wall)
 
 	result := &SolveResult{
 		Order:       res.Order,

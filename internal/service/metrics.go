@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/evolving-olap/idd/internal/obs"
-	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
 
 // solveRateWindow is the sliding window behind solves.per_second: long
@@ -36,7 +35,7 @@ type Metrics struct {
 	wins         *obs.CounterVec
 	rate         *obs.RateWindow
 
-	// fastpathRouted counts solves the feature router sent straight to
+	// fastpathRouted counts solves the size router sent straight to
 	// one exact backend (by backend); fastpathFallback counts routed
 	// attempts that failed to prove and fell back to the full race.
 	fastpathRouted   *obs.CounterVec
@@ -209,14 +208,12 @@ type MetricsSnapshot struct {
 	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
 
 	FastPath struct {
-		// Routed counts solves the feature router served with a single
+		// Routed counts solves the size router served with a single
 		// exact backend; Fallback counts routed attempts that had to
-		// rerun as a full race. ByBackend splits Routed by backend and
-		// Telemetry is the router's learned per-class proof-speed table.
-		Routed    int64                 `json:"routed"`
-		Fallback  int64                 `json:"fallback"`
-		ByBackend map[string]int64      `json:"by_backend,omitempty"`
-		Telemetry []portfolio.RouteStat `json:"telemetry,omitempty"`
+		// rerun as a full race. ByBackend splits Routed by backend.
+		Routed    int64            `json:"routed"`
+		Fallback  int64            `json:"fallback"`
+		ByBackend map[string]int64 `json:"by_backend,omitempty"`
 	} `json:"fastpath"`
 
 	Batches struct {
@@ -266,7 +263,7 @@ type TenantSnapshot struct {
 }
 
 func (m *Metrics) snapshot(workers, queueDepth, queueCap, running, cacheSize, cacheCap int,
-	tenantDepths map[string]int, routes []portfolio.RouteStat) MetricsSnapshot {
+	tenantDepths map[string]int) MetricsSnapshot {
 	var s MetricsSnapshot
 	s.UptimeSeconds = time.Since(m.start).Seconds()
 	s.Workers = workers
@@ -322,7 +319,6 @@ func (m *Metrics) snapshot(workers, queueDepth, queueCap, running, cacheSize, ca
 		s.FastPath.Routed += n
 	}
 	s.FastPath.Fallback = m.fastpathFallback.Value()
-	s.FastPath.Telemetry = routes
 
 	s.Batches.Submitted = m.batchesSubmitted.Value()
 	s.Batches.Items = m.batchItems.Value()

@@ -17,7 +17,7 @@
 // per-tenant queues so one tenant's flood cannot starve another's
 // sparse traffic, and optional per-tenant rate limits and queue quotas
 // bound admission. Small instances skip the portfolio race entirely: a
-// feature-based router sends them straight to one applicable exact
+// size-threshold router sends them straight to one applicable exact
 // backend (falling back to the race if the proof doesn't land), which
 // returns the identical proved optimum at a fraction of the overhead.
 //
@@ -179,7 +179,7 @@ type SolveResult struct {
 	// (single-flight deduplication).
 	CacheHit bool `json:"cache_hit,omitempty"`
 	Shared   bool `json:"shared,omitempty"`
-	// Routed marks a solve served by the fast path: the feature router
+	// Routed marks a solve served by the fast path: the size router
 	// sent the instance straight to one exact backend (Winner) instead
 	// of racing the portfolio, and that backend proved the optimum.
 	Routed bool `json:"routed,omitempty"`

@@ -31,6 +31,7 @@ import (
 
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 
@@ -127,61 +128,28 @@ func (s *Store) feasible(order []int) bool {
 
 // ValidateInitial reports why initial cannot seed a solve of c under cs:
 // wrong length, not a permutation, or incompatible with the precedence
-// constraints. It is the single admission check for Options.Initial,
-// shared by Solve and SolveSingle, and exported so warm-start callers
-// (the service session path) can decide to degrade to a cold start
-// instead of failing the run.
+// constraints. It is Solve's admission check for Options.Initial,
+// exported so warm-start callers (the service session path) can decide
+// to degrade to a cold start instead of failing the run.
 func ValidateInitial(c *model.Compiled, cs *constraint.Set, initial []int) error {
 	return validOrder(c.N, cs, initial)
 }
 
 // RepairInitial returns initial unchanged when it is already a feasible
-// seed, and otherwise attempts a stable topological reorder: items keep
+// seed, and otherwise reorders it stably (sched.Repair): items keep
 // their given relative order except where cs forces a swap. This rescues
 // warm starts whose order predates extra constraints (e.g. the pruning
 // analysis adds precedence edges a previous incumbent never saw). It
 // fails only when initial is not a permutation at all.
 func RepairInitial(c *model.Compiled, cs *constraint.Set, initial []int) ([]int, error) {
-	err := ValidateInitial(c, cs, initial)
-	if err == nil {
+	if ValidateInitial(c, cs, initial) == nil {
 		return initial, nil
 	}
 	// Only a precedence violation is repairable; re-check the shape.
 	if serr := validOrder(c.N, nil, initial); serr != nil {
 		return nil, serr
 	}
-	n := c.N
-	used := make([]bool, n)
-	out := make([]int, 0, n)
-	for len(out) < n {
-		picked := -1
-		for _, it := range initial {
-			if used[it] {
-				continue
-			}
-			ready := true
-			cs.Predecessors(it).ForEach(func(p int) bool {
-				if !used[p] {
-					ready = false
-					return false
-				}
-				return true
-			})
-			if ready {
-				picked = it
-				break
-			}
-		}
-		if picked < 0 {
-			return nil, fmt.Errorf("initial order cannot satisfy the precedence constraints")
-		}
-		used[picked] = true
-		out = append(out, picked)
-	}
-	if verr := ValidateInitial(c, cs, out); verr != nil {
-		return nil, verr
-	}
-	return out, nil
+	return sched.Repair(initial, cs), nil
 }
 
 func validOrder(n int, cs *constraint.Set, order []int) error {

@@ -9,7 +9,7 @@ import (
 	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/sched"
-	"github.com/evolving-olap/idd/internal/solver/backend"
+	"github.com/evolving-olap/idd/internal/solver/astar"
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
@@ -42,6 +42,33 @@ func TestRouteThreshold(t *testing.T) {
 	}
 	if NewRouter(0).MaxN() != DefaultFastPathMaxN {
 		t.Errorf("NewRouter(0).MaxN() = %d, want %d", NewRouter(0).MaxN(), DefaultFastPathMaxN)
+	}
+
+	// Thresholds past astar.MaxN are capped: no exact prover proves
+	// full TPC-H (n=31) within a request budget, so it races.
+	wide := NewRouter(40)
+	if wide.MaxN() != astar.MaxN {
+		t.Errorf("NewRouter(40).MaxN() = %d, want astar.MaxN = %d", wide.MaxN(), astar.MaxN)
+	}
+	full := datasets.TPCH()
+	if name, ok := wide.Route(model.MustCompile(full), sched.PrecedenceSet(full)); ok {
+		t.Errorf("TPC-H n=%d routed to %s past the astar.MaxN cap", full.N(), name)
+	}
+}
+
+// TestRouteIgnoresOutcomes: routing is a stateless size rule, so
+// reported outcomes — even a run of failed proofs — never move it off
+// the registry's first applicable prover.
+func TestRouteIgnoresOutcomes(t *testing.T) {
+	in := datasets.ReducedTPCH(8, datasets.Low)
+	c := model.MustCompile(in)
+	cs := sched.PrecedenceSet(in)
+	r := NewRouter(0)
+	for i := 0; i < 5; i++ {
+		r.Observe(FeaturesOf(c, cs), "astar", false, 0)
+	}
+	if name, ok := r.Route(c, cs); !ok || name != "astar" {
+		t.Errorf("Route after five unproved observations = %q (ok=%v), want astar", name, ok)
 	}
 }
 
@@ -118,124 +145,6 @@ func TestRouteConformanceCorpus(t *testing.T) {
 	}
 }
 
-// steerN is the only instance size the steering backends below apply
-// to, so they join the prover set of TestRouterTelemetrySteers and of no
-// other test in this package.
-const steerN = 3
-
-// steerBackend is an exact prover registered from this file so the
-// router has several provers to choose between: since A* became the
-// only default prover for n ≤ astar.MaxN, the built-in roster offers
-// one. It proves by delegating to A*.
-type steerBackend struct {
-	name string
-	rank int
-}
-
-func init() {
-	backend.Register(steerBackend{"zsteer-a", 41})
-	backend.Register(steerBackend{"zsteer-b", 42})
-}
-
-func (s steerBackend) Info() backend.Info {
-	return backend.Info{
-		Name: s.name, Kind: backend.KindExact, Rank: s.rank, Proves: true,
-		Summary:    "test-only exact prover (delegates to astar)",
-		Applicable: func(c *model.Compiled) bool { return c.N == steerN },
-	}
-}
-
-func (steerBackend) Solve(ctx context.Context, req backend.Request) backend.Outcome {
-	b, _ := backend.Lookup("astar")
-	return b.Solve(ctx, req)
-}
-
-// TestRouterTelemetrySteers: the router explores every applicable exact
-// prover routeMinAttempts times per class, then exploits the best mean
-// proof wall time; a class where no prover ever proves loses its fast
-// path entirely.
-func TestRouterTelemetrySteers(t *testing.T) {
-	in := datasets.ReducedTPCH(steerN, datasets.Low)
-	c := model.MustCompile(in)
-	cs := sched.PrecedenceSet(in)
-	f := FeaturesOf(c, cs)
-	if got := backend.ExactProvers(c); len(got) != 3 {
-		t.Fatalf("ExactProvers(n=%d) = %v, want astar and the two steering backends", steerN, got)
-	}
-
-	// Exploration: a cold router starts at the rank-order pick, then
-	// spreads attempts across the least-sampled applicable provers.
-	r := NewRouter(12)
-	first, ok := r.Route(c, cs)
-	if !ok {
-		t.Fatal("not routed")
-	}
-	if first != "astar" {
-		t.Fatalf("cold route = %q, want the rank-order pick astar", first)
-	}
-	r.Observe(f, first, true, 80*time.Millisecond)
-	second, _ := r.Route(c, cs)
-	if second == first {
-		t.Fatalf("router did not explore past %q after it was sampled", first)
-	}
-
-	// Exploitation: keep following Route's choice, reporting zsteer-b as
-	// by far the cheapest prover. Exploration visits every prover at
-	// least routeMinAttempts times, after which Route must settle on
-	// zsteer-b despite its rank.
-	sawFast := false
-	for i := 0; i < 20; i++ {
-		name, ok := r.Route(c, cs)
-		if !ok {
-			t.Fatal("routing vanished mid-exploration")
-		}
-		wall := 80 * time.Millisecond
-		if name == "zsteer-b" {
-			wall = time.Millisecond
-			sawFast = true
-		}
-		r.Observe(f, name, true, wall)
-	}
-	if !sawFast {
-		t.Fatal("exploration never sampled zsteer-b")
-	}
-	if got, _ := r.Route(c, cs); got != "zsteer-b" {
-		t.Errorf("Route after full telemetry = %q, want zsteer-b", got)
-	}
-
-	// Unproved observations count as attempts but never as proofs, and
-	// empty winners are ignored outright.
-	r2 := NewRouter(12)
-	r2.Observe(f, "zsteer-b", false, time.Nanosecond)
-	r2.Observe(f, "", true, time.Nanosecond)
-	if got, _ := r2.Route(c, cs); got != first {
-		t.Errorf("unproved observation changed cold routing: %q, want %q", got, first)
-	}
-	for _, row := range r2.Snapshot() {
-		if row.Proofs != 0 || row.MeanWallMS != 0 {
-			t.Errorf("unproved observation produced a proof row: %+v", row)
-		}
-	}
-
-	// A class that never proves within budget stops being fast-pathed
-	// once every prover has been sampled.
-	r3 := NewRouter(12)
-	for {
-		name, ok := r3.Route(c, cs)
-		if !ok {
-			break
-		}
-		r3.Observe(f, name, false, 0)
-		total := 0
-		for _, row := range r3.Snapshot() {
-			total += int(row.Attempts)
-		}
-		if total > 100 {
-			t.Fatal("router never gave up on a proofless class")
-		}
-	}
-}
-
 // TestColdRouterRoutesToAStar: with A* the only default exact prover
 // below astar.MaxN, a fresh router sends the fast-path sizes straight
 // to it — no exploration of a dominated prover on the first requests —
@@ -260,42 +169,6 @@ func TestColdRouterRoutesToAStar(t *testing.T) {
 				t.Errorf("n=%d %v: routed astar solve did not prove", n, d)
 			}
 			solvertest.RequireFeasible(t, c.N, cs, res.Order)
-		}
-	}
-}
-
-// TestFeaturesOf pins the feature derivation, including the nil
-// constraint set and density edge cases.
-func TestFeaturesOf(t *testing.T) {
-	in := datasets.ReducedTPCH(8, datasets.Low)
-	c := model.MustCompile(in)
-	cs := sched.PrecedenceSet(in)
-	f := FeaturesOf(c, cs)
-	if f.N != 8 || f.Plans == 0 {
-		t.Errorf("FeaturesOf = %+v", f)
-	}
-	if f.PrecedenceEdges != cs.Len() {
-		t.Errorf("PrecedenceEdges = %d, want %d", f.PrecedenceEdges, cs.Len())
-	}
-	if f.PrecedenceDensity < 0 || f.PrecedenceDensity > 1 {
-		t.Errorf("density %v out of [0,1]", f.PrecedenceDensity)
-	}
-	if got := FeaturesOf(c, nil); got.PrecedenceEdges != 0 || got.PrecedenceDensity != 0 {
-		t.Errorf("nil constraint set features = %+v", got)
-	}
-
-	// Class banding: tiny/small/medium/large and sparse/dense.
-	for _, tc := range []struct {
-		f    Features
-		want string
-	}{
-		{Features{N: 5}, "tiny/sparse"},
-		{Features{N: 9, PrecedenceDensity: 0.3}, "small/dense"},
-		{Features{N: 14}, "medium/sparse"},
-		{Features{N: 30, PrecedenceDensity: 0.2}, "large/dense"},
-	} {
-		if got := tc.f.Class(); got != tc.want {
-			t.Errorf("Class(%+v) = %q, want %q", tc.f, got, tc.want)
 		}
 	}
 }
