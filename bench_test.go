@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/evolving-olap/idd/internal/advisor"
+	"github.com/evolving-olap/idd/internal/codec"
 	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/experiments"
 	"github.com/evolving-olap/idd/internal/model"
@@ -285,6 +286,41 @@ func BenchmarkAStar_ProofN20Full(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(res.Expanded), "expanded/op")
+}
+
+// --- Pre-solve: what a request pays before any backend runs ---
+//
+// BenchmarkPresolve_* time the request-path stages ahead of the race on
+// the two full datasets: the §5 analysis on TPC-H n=31 (dominated by
+// its tail pass), CP's tail tables on TPC-DS under the analyzed
+// constraints, and the service's one canonicalization plus both hashes
+// on TPC-DS. scripts/check_alloc_ceilings.py pins their allocs/op.
+
+func BenchmarkPresolve_AnalyzeTPCH31(b *testing.B) {
+	c := model.MustCompile(datasets.TPCH())
+	b.ReportAllocs()
+	for b.Loop() {
+		prune.Analyze(c, prune.Options{})
+	}
+}
+
+func BenchmarkPresolve_TailBoundTPCDS(b *testing.B) {
+	c := model.MustCompile(datasets.TPCDS())
+	cs, _ := prune.Analyze(c, prune.Options{})
+	b.ReportAllocs()
+	for b.Loop() {
+		prune.NewTailBound(c, cs, prune.Options{})
+	}
+}
+
+func BenchmarkPresolve_CanonHashTPCDS(b *testing.B) {
+	in := datasets.TPCDS()
+	b.ReportAllocs()
+	for b.Loop() {
+		canon, _ := codec.Canonicalize(in)
+		codec.HashCanonical(canon)
+		codec.StructuralHash(canon)
+	}
 }
 
 // --- Portfolio: concurrent racing with a shared incumbent ---

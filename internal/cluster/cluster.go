@@ -362,7 +362,7 @@ func (n *Node) routeByInstance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canon, _ := codec.Canonicalize(in)
-	owner := n.ring.owner(codec.CanonicalHash(canon))
+	owner := n.ring.owner(codec.HashCanonical(canon))
 	if owner == n.cfg.Self {
 		local.ServeHTTP(w, r)
 		return

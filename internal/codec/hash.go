@@ -8,6 +8,7 @@
 package codec
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -40,12 +41,14 @@ func Canonicalize(in *model.Instance) (*model.Instance, []int) {
 	for i := range byIdx {
 		byIdx[i] = i
 	}
-	idxKey := func(i int) string {
+	// Every sort key is built once, not inside the comparators.
+	idxKeys := make([]string, n)
+	for i := range in.Indexes {
 		ix := &in.Indexes[i]
-		return ix.Name + "\x00" + fstr(ix.CreateCost) + "\x00" + ix.Table +
+		idxKeys[i] = ix.Name + "\x00" + fstr(ix.CreateCost) + "\x00" + ix.Table +
 			"\x00" + strings.Join(ix.Columns, "\x01") + "\x00" + strings.Join(ix.Include, "\x01")
 	}
-	sort.Slice(byIdx, func(a, b int) bool { return idxKey(byIdx[a]) < idxKey(byIdx[b]) })
+	sort.Slice(byIdx, func(a, b int) bool { return idxKeys[byIdx[a]] < idxKeys[byIdx[b]] })
 	perm := make([]int, n) // original index -> canonical position
 	for c, i := range byIdx {
 		perm[i] = c
@@ -53,32 +56,38 @@ func Canonicalize(in *model.Instance) (*model.Instance, []int) {
 
 	// Plan signatures in canonical index space, grouped per query, feed
 	// the query sort key so that even same-named queries order stably.
-	planSig := make([]string, len(in.Plans))
+	planIdx := make([][]int, len(in.Plans))
 	planSigsOfQuery := make([][]string, len(in.Queries))
+	var sig []byte
 	for pi, p := range in.Plans {
 		idx := make([]int, len(p.Indexes))
 		for k, i := range p.Indexes {
 			idx[k] = perm[i]
 		}
 		sort.Ints(idx)
-		parts := make([]string, len(idx))
+		planIdx[pi] = idx
+		sig = strconv.AppendFloat(sig[:0], p.Speedup, 'g', -1, 64)
+		sig = append(sig, '@')
 		for k, c := range idx {
-			parts[k] = strconv.Itoa(c)
+			if k > 0 {
+				sig = append(sig, ',')
+			}
+			sig = strconv.AppendInt(sig, int64(c), 10)
 		}
-		planSig[pi] = fstr(p.Speedup) + "@" + strings.Join(parts, ",")
-		planSigsOfQuery[p.Query] = append(planSigsOfQuery[p.Query], planSig[pi])
+		planSigsOfQuery[p.Query] = append(planSigsOfQuery[p.Query], string(sig))
 	}
 	byQ := make([]int, len(in.Queries))
 	for q := range byQ {
 		byQ[q] = q
 	}
-	qKey := func(q int) string {
-		sigs := append([]string(nil), planSigsOfQuery[q]...)
+	qKeys := make([]string, len(in.Queries))
+	for q := range qKeys {
+		sigs := planSigsOfQuery[q]
 		sort.Strings(sigs)
-		return in.Queries[q].Name + "\x00" + fstr(in.Queries[q].Runtime) +
+		qKeys[q] = in.Queries[q].Name + "\x00" + fstr(in.Queries[q].Runtime) +
 			"\x00" + fstr(in.Queries[q].Weight) + "\x00" + strings.Join(sigs, "\x01")
 	}
-	sort.Slice(byQ, func(a, b int) bool { return qKey(byQ[a]) < qKey(byQ[b]) })
+	sort.Slice(byQ, func(a, b int) bool { return qKeys[byQ[a]] < qKeys[byQ[b]] })
 	qperm := make([]int, len(in.Queries))
 	for c, q := range byQ {
 		qperm[q] = c
@@ -97,12 +106,7 @@ func Canonicalize(in *model.Instance) (*model.Instance, []int) {
 	if len(in.Plans) > 0 {
 		out.Plans = make([]model.Plan, len(in.Plans))
 		for pi, p := range in.Plans {
-			idx := make([]int, len(p.Indexes))
-			for k, i := range p.Indexes {
-				idx[k] = perm[i]
-			}
-			sort.Ints(idx)
-			out.Plans[pi] = model.Plan{Query: qperm[p.Query], Indexes: idx, Speedup: p.Speedup}
+			out.Plans[pi] = model.Plan{Query: qperm[p.Query], Indexes: planIdx[pi], Speedup: p.Speedup}
 		}
 		sort.Slice(out.Plans, func(a, b int) bool {
 			pa, pb := &out.Plans[a], &out.Plans[b]
@@ -155,6 +159,13 @@ func Canonicalize(in *model.Instance) (*model.Instance, []int) {
 // valid.
 func CanonicalHash(in *model.Instance) string {
 	canon, _ := Canonicalize(in)
+	return HashCanonical(canon)
+}
+
+// HashCanonical is CanonicalHash for an instance that already is the
+// output of Canonicalize: it hashes canon as it stands instead of
+// canonicalizing it a second time.
+func HashCanonical(canon *model.Instance) string {
 	buf, err := json.Marshal(canon)
 	if err != nil {
 		// A valid model.Instance is plain data; Marshal cannot fail on it.
@@ -173,60 +184,61 @@ func CanonicalHash(in *model.Instance) string {
 // uses it to find a previous incumbent for the same structure and seed
 // the re-solve with it instead of starting cold. The instance must be
 // valid.
+//
+// The hashed text is five sections, each a tag followed by its sorted
+// records joined by \x01; it streams into the hasher section by section.
 func StructuralHash(in *model.Instance) string {
-	var b strings.Builder
+	h := sha256.New()
+	w := bufio.NewWriter(h) // writes into a hash cannot fail; errors are not checked
+	section := func(tag string, records []string) {
+		sort.Strings(records)
+		w.WriteString(tag)
+		for k, r := range records {
+			if k > 0 {
+				w.WriteByte('\x01')
+			}
+			w.WriteString(r)
+		}
+	}
+
 	ixNames := make([]string, len(in.Indexes))
 	for i, ix := range in.Indexes {
 		ixNames[i] = ix.Name
 	}
-	sortedIx := append([]string(nil), ixNames...)
-	sort.Strings(sortedIx)
-	b.WriteString("ix:")
-	b.WriteString(strings.Join(sortedIx, "\x01"))
+	section("ix:", append([]string(nil), ixNames...))
 
 	qNames := make([]string, len(in.Queries))
 	for q, qu := range in.Queries {
 		qNames[q] = qu.Name
 	}
-	sortedQ := append([]string(nil), qNames...)
-	sort.Strings(sortedQ)
-	b.WriteString("\x00q:")
-	b.WriteString(strings.Join(sortedQ, "\x01"))
+	section("\x00q:", append([]string(nil), qNames...))
 
-	pairKey := func(refs []int) string {
-		parts := make([]string, len(refs))
-		for k, i := range refs {
-			parts[k] = ixNames[i]
-		}
-		sort.Strings(parts)
-		return strings.Join(parts, ",")
-	}
+	var names []string
 	plans := make([]string, len(in.Plans))
 	for pi, p := range in.Plans {
-		plans[pi] = qNames[p.Query] + "@" + pairKey(p.Indexes)
+		names = names[:0]
+		for _, i := range p.Indexes {
+			names = append(names, ixNames[i])
+		}
+		sort.Strings(names)
+		plans[pi] = qNames[p.Query] + "@" + strings.Join(names, ",")
 	}
-	sort.Strings(plans)
-	b.WriteString("\x00p:")
-	b.WriteString(strings.Join(plans, "\x01"))
+	section("\x00p:", plans)
 
 	builds := make([]string, len(in.BuildInteractions))
 	for bi, bld := range in.BuildInteractions {
 		builds[bi] = ixNames[bld.Target] + "<-" + ixNames[bld.Helper]
 	}
-	sort.Strings(builds)
-	b.WriteString("\x00b:")
-	b.WriteString(strings.Join(builds, "\x01"))
+	section("\x00b:", builds)
 
 	precs := make([]string, len(in.Precedences))
 	for pi, pr := range in.Precedences {
 		precs[pi] = ixNames[pr.Before] + "<" + ixNames[pr.After]
 	}
-	sort.Strings(precs)
-	b.WriteString("\x00pr:")
-	b.WriteString(strings.Join(precs, "\x01"))
+	section("\x00pr:", precs)
 
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	w.Flush()
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // fstr formats a float so that equal values stringify equally and the

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/randgen"
 )
@@ -212,6 +213,60 @@ func TestStructuralHash(t *testing.T) {
 		}
 		if StructuralHash(cp) == base {
 			t.Errorf("%s: structural edit kept the structural hash", name)
+		}
+	}
+}
+
+// TestHashCanonicalSinglePass is the property test for the service's
+// one-canonicalization path: hashing the canonical form a caller
+// already holds equals CanonicalHash of the original and of every
+// relabelled, reordered writing of it.
+func TestHashCanonicalSinglePass(t *testing.T) {
+	for trial := 0; trial < 25; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial) + 101))
+		cfg := randgen.DefaultConfig()
+		cfg.Indexes = 4 + rng.Intn(12)
+		cfg.Queries = 3 + rng.Intn(8)
+		in := randgen.New(rng, cfg)
+		want := CanonicalHash(in)
+		shuffled := relabel(in, rng.Perm(len(in.Indexes)), rng.Perm(len(in.Queries)), rng)
+		for _, src := range []*model.Instance{in, shuffled} {
+			canon, _ := Canonicalize(src)
+			if got := HashCanonical(canon); got != want {
+				t.Fatalf("trial %d: single-pass hash %s, CanonicalHash %s", trial, got, want)
+			}
+			if StructuralHash(canon) != StructuralHash(src) {
+				t.Fatalf("trial %d: structural hash differs between the canonical and original writing", trial)
+			}
+		}
+	}
+}
+
+// TestHashesPinned pins both hashes of the reference datasets: cache
+// keys and cluster ring owners are these strings, so nodes running
+// different builds must compute them byte for byte alike.
+func TestHashesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		in                    *model.Instance
+		canonical, structural string
+	}{
+		{"tpch", datasets.TPCH(),
+			"1a9f2768b79300ed0c0224eb71514a4f85533e7492c38fbb183b43e456784727",
+			"24a704b96fbad08496b65d1e60a88c06b9a44d66cc2de90fafbd79bba8372779"},
+		{"tpcds", datasets.TPCDS(),
+			"9bdb42e74f4b5178a9f6535516053305d59466c2bee40f971734af95094c9583",
+			"ed66f62418fb259ccfded4deaecdcc7a399a22fc30a99f3d87541346fd1893f8"},
+		{"tpch-r12-mid", datasets.ReducedTPCH(12, datasets.Mid),
+			"7fd680e68e6852ab437159a52811e82b8ee876530348c6623c9fef9bb7b5e5c3",
+			"4a80ae9dd852e46fba830f91c04c45dc90e3f350defe6472ccda38c5f6f26b32"},
+	} {
+		canon, _ := Canonicalize(tc.in)
+		if got := HashCanonical(canon); got != tc.canonical {
+			t.Errorf("%s: canonical hash %s, pinned %s", tc.name, got, tc.canonical)
+		}
+		if got := StructuralHash(canon); got != tc.structural {
+			t.Errorf("%s: structural hash %s, pinned %s", tc.name, got, tc.structural)
 		}
 	}
 }

@@ -73,6 +73,20 @@ type Options struct {
 	MaxRounds int
 }
 
+func (o Options) tailLength() int {
+	if o.TailLength == 0 {
+		return 3
+	}
+	return o.TailLength
+}
+
+func (o Options) maxTailPatterns() int {
+	if o.MaxTailPatterns == 0 {
+		return 50000
+	}
+	return o.MaxTailPatterns
+}
+
 // Report summarizes what the analysis found.
 type Report struct {
 	// Alliances lists detected allied groups (index positions).
@@ -103,6 +117,12 @@ func (r Report) String() string {
 // set plus a report. The returned set always contains the instance's own
 // precedence edges.
 func Analyze(c *model.Compiled, opt Options) (*constraint.Set, Report) {
+	return analyze(c, opt, (*analyzer).tails)
+}
+
+// analyze is Analyze with the tail pass as a parameter, so tests can
+// run the fixed point against a reference tail analysis.
+func analyze(c *model.Compiled, opt Options, tails func(*analyzer, *Report, Options)) (*constraint.Set, Report) {
 	props := opt.Properties
 	if props == 0 {
 		props = All
@@ -135,7 +155,7 @@ func Analyze(c *model.Compiled, opt Options) (*constraint.Set, Report) {
 			a.disjoint(&rep)
 		}
 		if props&Tails != 0 {
-			a.tails(&rep, opt)
+			tails(a, &rep, opt)
 		}
 		if cs.Len() == before {
 			break // fixed point
@@ -162,6 +182,8 @@ type analyzer struct {
 	minCost, maxCost []float64
 	// interacts[i] = indexes sharing a plan or build interaction with i.
 	interacts [][]bool
+	// kernel evaluates tail patterns; built on the first tails() round.
+	kernel *tailKernel
 }
 
 func newAnalyzer(c *model.Compiled, cs *constraint.Set) *analyzer {

@@ -50,67 +50,38 @@ func NewTailBound(c *model.Compiled, cs *constraint.Set, opt Options) *TailBound
 	if cs == nil {
 		cs = constraint.NewSet(n)
 	}
-	length := opt.TailLength
-	if length == 0 {
-		length = 3
-	}
-	if length > maxTailBoundLen {
-		length = maxTailBoundLen
-	}
-	if length > n {
-		length = n
-	}
-	maxPatterns := opt.MaxTailPatterns
-	if maxPatterns == 0 {
-		maxPatterns = 50000
-	}
+	length := min(opt.tailLength(), maxTailBoundLen, n)
 
 	tb := &TailBound{n: n, maxLen: length, tables: make([]map[uint64]float64, length)}
-	w := model.NewWalker(c)
-	inSet := make([]bool, n)
+	k := newTailKernel(c, cs)
 	for m := 1; m <= length; m++ {
-		var cands []int
-		for i := 0; i < n; i++ {
-			if cs.MaxPos(i) >= n-m {
-				cands = append(cands, i)
-			}
-		}
-		if len(cands) < m {
-			continue // over-constrained; search nodes at this depth are dead anyway
-		}
-		if patterns := binomial(len(cands), m) * factorial(m); patterns <= 0 || patterns > maxPatterns {
+		// A nil candidate list means over budget, or over-constrained
+		// (search nodes at this depth are dead anyway).
+		cands := tailCands(cs, m, opt.maxTailPatterns())
+		if cands == nil {
 			continue
 		}
 		table := make(map[uint64]float64)
-		forFeasibleTailSets(cs, w, cands, m, inSet, func(set []int, objBase float64) {
+		k.forEachSet(cands, m, func(set []int) bool {
 			best := math.Inf(1)
-			permuteFeasible(set, cs, func(perm []int) {
-				for _, i := range perm {
-					w.Push(i)
-				}
-				if t := w.Objective() - objBase; t < best {
-					best = t
-				}
-				for range perm {
-					w.Pop()
-				}
+			k.forEachPerm(func(_ []uint8, area float64) {
+				best = math.Min(best, area)
 			})
 			if !math.IsInf(best, 1) {
 				// Deflate by a relative safety margin before storing: the
-				// delta was computed against this enumeration's objective
-				// base, but the search subtracts it from a different
-				// prefix's base, and the ulp-level rounding difference
-				// between the two (~1e-16 relative) could otherwise
-				// outweigh the engine's 1e-12 improvement epsilon. A 1e-9
-				// relative deflation guarantees the prune is conservative
-				// against rounding — pruned subtrees provably contain no
-				// improving solution — at no practical cost in power.
+				// search compares its prefix objective plus this value with
+				// the incumbent, and that sum rounds differently from the
+				// objective a complete walk accumulates step by step; the
+				// difference could otherwise outweigh the engine's 1e-12
+				// improvement epsilon. A 1e-9 relative deflation keeps the
+				// prune conservative against that rounding at no practical
+				// cost in power.
 				table[tailKey(set)] = best - 1e-9*(math.Abs(best)+1)
 			}
+			return true
 		})
 		tb.tables[m-1] = table
 	}
-	w.Reset()
 	return tb
 }
 

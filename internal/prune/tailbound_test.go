@@ -155,14 +155,6 @@ func TestTailKeyInjective(t *testing.T) {
 	}
 }
 
-func seqInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 func sortInts(xs []int) {
 	for a := 1; a < len(xs); a++ {
 		for b := a; b > 0 && xs[b] < xs[b-1]; b-- {

@@ -37,45 +37,25 @@ func TailPatterns(c *model.Compiled, cs *constraint.Set, length, maxPatterns int
 	if length <= 0 {
 		length = 3
 	}
-	if length > c.N {
-		length = c.N
-	}
-	if maxPatterns == 0 {
-		maxPatterns = 50000
-	}
-	n := c.N
-	var cands []int
-	for i := 0; i < n; i++ {
-		if cs.MaxPos(i) >= n-length {
-			cands = append(cands, i)
-		}
-	}
-	if len(cands) < length {
-		return nil
-	}
-	if patterns := binomial(len(cands), length) * factorial(length); patterns <= 0 || patterns > maxPatterns {
+	length = min(length, c.N)
+	cands := tailCands(cs, length, Options{MaxTailPatterns: maxPatterns}.maxTailPatterns())
+	if cands == nil {
 		return nil
 	}
 
 	var groups []TailGroup
-	w := model.NewWalker(c)
-	inSet := make([]bool, n)
-	forFeasibleTailSets(cs, w, cands, length, inSet, func(set []int, objBase float64) {
+	k := newTailKernel(c, cs)
+	k.forEachSet(cands, length, func(set []int) bool {
 		g := TailGroup{Set: append([]int(nil), set...)}
-		permuteFeasible(set, cs, func(perm []int) {
-			for _, m := range perm {
-				w.Push(m)
+		k.forEachPerm(func(perm []uint8, area float64) {
+			p := make([]int, len(perm))
+			for i, j := range perm {
+				p[i] = set[j]
 			}
-			g.Patterns = append(g.Patterns, TailPattern{
-				Perm:      append([]int(nil), perm...),
-				Objective: w.Objective() - objBase,
-			})
-			for range perm {
-				w.Pop()
-			}
+			g.Patterns = append(g.Patterns, TailPattern{Perm: p, Objective: area})
 		})
 		if len(g.Patterns) == 0 {
-			return
+			return true
 		}
 		sort.SliceStable(g.Patterns, func(a, b int) bool {
 			return g.Patterns[a].Objective < g.Patterns[b].Objective
@@ -85,7 +65,7 @@ func TailPatterns(c *model.Compiled, cs *constraint.Set, length, maxPatterns int
 			g.Patterns[i].Champion = g.Patterns[i].Objective <= best+1e-9
 		}
 		groups = append(groups, g)
+		return true
 	})
-	w.Reset()
 	return groups
 }

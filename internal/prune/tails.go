@@ -1,12 +1,6 @@
 package prune
 
-import (
-	"math"
-	"sort"
-
-	"github.com/evolving-olap/idd/internal/constraint"
-	"github.com/evolving-olap/idd/internal/model"
-)
+import "math"
 
 // tails runs the tail-index analysis of §5.5 / Appendix D.6: enumerate
 // every feasible ordered tail of length L, compute each pattern's tail
@@ -19,94 +13,69 @@ import (
 // driver (§5.6) then re-runs the analysis with the new constraints,
 // peeling further indexes.
 func (a *analyzer) tails(rep *Report, opt Options) {
-	c := a.c
-	n := c.N
-	length := opt.TailLength
-	if length == 0 {
-		length = 3
-	}
-	if length > n {
-		length = n
-	}
-	maxPatterns := opt.MaxTailPatterns
-	if maxPatterns == 0 {
-		maxPatterns = 50000
-	}
-
-	// Candidates: indexes whose latest feasible position reaches into the
-	// tail window.
-	var cands []int
-	for i := 0; i < n; i++ {
-		if a.cs.MaxPos(i) >= n-length {
-			cands = append(cands, i)
-		}
-	}
-	if len(cands) < length {
-		return // over-constrained; nothing to analyze
-	}
-	// Cost guard: #sets * L! patterns.
-	if patterns := binomial(len(cands), length) * factorial(length); patterns <= 0 || patterns > maxPatterns {
+	n := a.c.N
+	length := min(opt.tailLength(), n)
+	cands := tailCands(a.cs, length, opt.maxTailPatterns())
+	if cands == nil {
 		return
 	}
-
-	type champion struct {
-		perm []int
-		obj  float64
+	if a.kernel == nil {
+		a.kernel = newTailKernel(a.c, a.cs)
 	}
-	// For every candidate tail set, collect its champion permutations.
-	var champs []champion
-	w := model.NewWalker(c)
-	inSet := make([]bool, n)
-	forFeasibleTailSets(a.cs, w, cands, length, inSet, func(set []int, objBase float64) {
-		bestObj := math.Inf(1)
-		var bestPerms [][]int
-		permuteFeasible(set, a.cs, func(perm []int) {
-			for _, m := range perm {
-				w.Push(m)
-			}
-			tailObj := w.Objective() - objBase
-			for range perm {
-				w.Pop()
-			}
-			const tol = 1e-9
+	k := a.kernel
+
+	// Every tail set's champions (the permutations within 1e-9 of its
+	// best, collected in enumeration order) fold into one running
+	// agreement: agree[pos] is the first champion's index at pos, and
+	// split[pos] records that some champion differs there. Once the last
+	// position is split no suffix can agree, so the enumeration stops.
+	agree := make([]int, length)
+	split := make([]bool, length)
+	champs := make([][]uint8, 0, factorial(length))
+	seen := false
+	k.forEachSet(cands, length, func(set []int) bool {
+		const tol = 1e-9
+		best := math.Inf(1)
+		champs = champs[:0]
+		k.forEachPerm(func(perm []uint8, area float64) {
 			switch {
-			case tailObj < bestObj-tol:
-				bestObj = tailObj
-				bestPerms = [][]int{append([]int(nil), perm...)}
-			case tailObj <= bestObj+tol:
-				bestPerms = append(bestPerms, append([]int(nil), perm...))
+			case area < best-tol:
+				best = area
+				champs = append(champs[:0], perm)
+			case area <= best+tol:
+				champs = append(champs, perm)
 			}
 		})
-		for _, p := range bestPerms {
-			champs = append(champs, champion{perm: p, obj: bestObj})
+		for _, perm := range champs {
+			for pos, j := range perm {
+				switch x := set[j]; {
+				case !seen:
+					agree[pos] = x
+				case agree[pos] != x:
+					split[pos] = true
+				}
+			}
+			seen = true
 		}
+		return !split[length-1]
 	})
-	w.Reset()
-	if len(champs) == 0 {
+	if !seen {
 		return
 	}
 
 	// Suffix agreement: walk from the last tail position inward while all
-	// champions agree on the index at that position. inSuffix reuses the
-	// dense scratch (the per-set clears above left it all-false).
-	agreed := []int{}
-	inSuffix := inSet
-	for pos := length - 1; pos >= 0; pos-- {
-		x := champs[0].perm[pos]
-		for _, ch := range champs[1:] {
-			if ch.perm[pos] != x {
-				return // disagreement ends the suffix
-			}
-		}
+	// champions agree on the index at that position.
+	inSuffix := make([]bool, n)
+	for pos := length - 1; pos >= 0 && !split[pos]; pos-- {
 		// x occupies absolute position n-length+pos in some optimal
 		// solution: everything not in the agreed suffix precedes it.
+		x := agree[pos]
 		inSuffix[x] = true
 		for y := 0; y < n; y++ {
 			if !inSuffix[y] {
 				a.add(y, x)
 			}
 		}
-		agreed = append(agreed, x)
 		if !containsInt(rep.TailFixed, x) {
 			rep.TailFixed = append([]int{x}, rep.TailFixed...)
 		}
@@ -144,82 +113,6 @@ func factorial(k int) int {
 	return r
 }
 
-// forFeasibleTailSets enumerates every length-k subset of cands that can
-// form a schedule tail under cs (every cs-successor of a member must
-// itself be a member), positions w at the complement prefix (order
-// irrelevant for the tail state), and calls fn with the set and the
-// prefix objective. inSet is a caller-provided dense membership scratch
-// shared across the whole enumeration — it reflects the current set
-// while fn runs and is cleared in O(k) per set, so the per-set cost is
-// walker pushes, not allocations.
-func forFeasibleTailSets(cs *constraint.Set, w *model.Walker, cands []int, k int,
-	inSet []bool, fn func(set []int, objBase float64)) {
-
-	n := len(inSet)
-	forSets(cands, k, func(set []int) {
-		for _, m := range set {
-			inSet[m] = true
-		}
-		defer func() {
-			for _, m := range set {
-				inSet[m] = false
-			}
-		}()
-		for _, m := range set {
-			ok := true
-			cs.Successors(m).ForEach(func(s int) bool {
-				if !inSet[s] {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return
-			}
-		}
-		w.Reset()
-		for i := 0; i < n; i++ {
-			if !inSet[i] {
-				w.Push(i)
-			}
-		}
-		fn(set, w.Objective())
-	})
-}
-
-// permuteFeasible calls fn with every permutation of set whose relative
-// order is compatible with cs (fn must not retain the slice).
-func permuteFeasible(set []int, cs *constraint.Set, fn func(perm []int)) {
-	permute(set, func(perm []int) {
-		for x := 0; x < len(perm); x++ {
-			for y := x + 1; y < len(perm); y++ {
-				if cs.Before(perm[y], perm[x]) {
-					return
-				}
-			}
-		}
-		fn(perm)
-	})
-}
-
-// forSets enumerates all k-subsets of cands (ascending order).
-func forSets(cands []int, k int, f func(set []int)) {
-	set := make([]int, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			f(set)
-			return
-		}
-		for i := start; i <= len(cands)-(k-depth); i++ {
-			set[depth] = cands[i]
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-}
-
 // permute calls f with every permutation of set (Heap's algorithm on a
 // copy; f must not retain the slice).
 func permute(set []int, f func(perm []int)) {
@@ -240,7 +133,13 @@ func permute(set []int, f func(perm []int)) {
 		}
 	}
 	rec(len(perm))
-	// Restore ascending order for the caller (perm is a copy; nothing to
-	// do).
-	sort.Ints(perm)
+}
+
+// seqInts returns 0, 1, ..., n-1.
+func seqInts(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

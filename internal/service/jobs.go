@@ -706,7 +706,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	}
 
 	canon, perm := codec.Canonicalize(in)
-	hash := codec.CanonicalHash(canon)
+	hash := codec.HashCanonical(canon)
 	structHash := codec.StructuralHash(canon)
 	origOf := make([]int, len(perm))
 	for i, c := range perm {

@@ -135,9 +135,9 @@ func TestDefaultBackendSelection(t *testing.T) {
 	}
 	for _, n := range []int{6, 12, 18, astar.MaxN} {
 		names := Default(model.MustCompile(datasets.ReducedTPCH(n, datasets.Full)))
-		for _, dominated := range []string{"cp", "bruteforce"} {
-			if has(names, dominated) {
-				t.Errorf("Default(n=%d) includes %s, which A* dominates (got %v)", n, dominated, names)
+		for _, absent := range []string{"cp", "bruteforce", "dp"} {
+			if has(names, absent) {
+				t.Errorf("Default(n=%d) includes %s, which stays out of the default race there (got %v)", n, absent, names)
 			}
 		}
 	}
@@ -149,6 +149,9 @@ func TestDefaultBackendSelection(t *testing.T) {
 	for _, n := range big {
 		if n == "bruteforce" || n == "mip" || n == "astar" {
 			t.Errorf("Default(tpcds) includes intractable backend %s", n)
+		}
+		if n == "dp" {
+			t.Errorf("Default(tpcds) includes dp, which is explicit only (got %v)", big)
 		}
 	}
 }

@@ -29,6 +29,11 @@ const (
 	anytimeBudget = time.Second
 )
 
+// explicitOnly names the non-exact backends that never join the default
+// race (their predicate rejects every instance) but stay selectable by
+// name, so the sweep runs them on every case.
+var explicitOnly = map[string]bool{"dp": true}
+
 func TestRegistryConformance(t *testing.T) {
 	cases := append(solvertest.Cases(t), solvertest.Corpus(t)...)
 	for _, b := range backend.All() {
@@ -39,8 +44,10 @@ func TestRegistryConformance(t *testing.T) {
 				// Applicable is the default-roster policy. Every case is
 				// brute-forceable, so an exact backend must prove it
 				// whether or not the default race would run it (brute
-				// force and cp yield the small sizes to A* there).
-				if info.Kind != backend.KindExact && info.Applicable != nil && !info.Applicable(cse.C) {
+				// force and cp yield the small sizes to A* there), and an
+				// explicit-only backend owes feasibility everywhere.
+				if info.Kind != backend.KindExact && !explicitOnly[info.Name] &&
+					info.Applicable != nil && !info.Applicable(cse.C) {
 					continue
 				}
 				applicable++

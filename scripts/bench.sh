@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# bench.sh — run the move-evaluation, Table-5 and CP benchmark suites
-# and emit BENCH_eval.json, the checked-in performance baseline for the
-# delta-evaluation core and the CP proof search.
+# bench.sh — run the move-evaluation, Table-5, CP and pre-solve
+# benchmark suites and emit BENCH_eval.json, the checked-in performance
+# baseline for the delta-evaluation core, the CP proof search and the
+# request-path stages ahead of a solve.
 #
 # The "cp" summary records the wall clock of the complete optimality
 # proof of the reduced TPC-H n=20 low instance and of a fixed 2M-node
@@ -19,7 +20,12 @@
 #       the cp numbers get regenerated on other hardware without redoing
 #       the evaluation-core suite; the section records its own "cpus"
 #       and "gomaxprocs" so a mixed file stays honest.
-#       Sections: cp, eval, serve, cluster, resolve.
+#       Sections: cp, eval, presolve, serve, cluster, resolve.
+#   scripts/bench.sh --section presolve
+#       rerun only the BenchmarkPresolve_* suite (prune.Analyze on TPC-H
+#       n=31, CP's tail tables on TPC-DS, canonicalize + both hashes on
+#       TPC-DS) and merge it like cp; check_alloc_ceilings.py pins its
+#       allocs/op.
 #   scripts/bench.sh --section serve
 #       run the iddload serving benchmark (open-loop mixed-size tenant
 #       traffic, fast-path routing on vs disabled over the identical
@@ -64,7 +70,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN="${PATTERN:-BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop|^Benchmark(CP|AStar)_}"
+PATTERN="${PATTERN:-BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop|^Benchmark(CP|AStar|Presolve)_}"
 OUT="${OUT:-BENCH_eval.json}"
 SEED_REF="${SEED_REF:-}"
 
@@ -178,7 +184,8 @@ if [ -n "$SECTION" ]; then
     case "$SECTION" in
         cp) PATTERN='^Benchmark(CP|AStar)_' ;;
         eval) PATTERN='BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop' ;;
-        *) echo "bench.sh: unknown section '$SECTION' (sections: cp, eval, serve, cluster, resolve)" >&2; exit 2 ;;
+        presolve) PATTERN='^BenchmarkPresolve_' ;;
+        *) echo "bench.sh: unknown section '$SECTION' (sections: cp, eval, presolve, serve, cluster, resolve)" >&2; exit 2 ;;
     esac
     if [ ! -f "$OUT" ]; then
         echo "bench.sh: --section merges into an existing $OUT; run a full pass first" >&2

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Assert the exact-prover benchmarks stay under pinned allocation ceilings.
+"""Assert the exact-prover and pre-solve benchmarks stay under pinned
+allocation ceilings.
 
 Reads a BENCH_eval.json produced (or section-merged) by
-scripts/bench.sh and fails if any BenchmarkCP_* or BenchmarkAStar_*
-entry reports more allocs/op than its ceiling. The ceilings are set ~4-10x above the
+scripts/bench.sh and fails if any BenchmarkCP_*, BenchmarkAStar_* or
+BenchmarkPresolve_* entry reports more allocs/op than its ceiling. The ceilings are set ~4-10x above the
 measured post-rewrite values (tens to hundreds of allocations per
 complete proof — fixed per-solve setup, nothing per node), and 4-6
 orders of magnitude below the pre-rewrite state (28M allocs for the
@@ -19,6 +20,13 @@ ceiling sits a few times above the doubling count and five orders of
 magnitude below the per-node allocations of a pointer-heap search
 (~925k allocs for the same proof).
 
+The pre-solve ceilings (run `--section presolve` as well) hold the
+closed-form tail kernel and the single-pass codec where they are: a
+tail pass that allocated per tail set or per permutation again (the
+Walker-replay analysis did ~56k allocs per TPC-H n=31 Analyze), or a
+second canonicalization on the hash path (~28k allocs on TPC-DS),
+fails the gate.
+
 Usage: scripts/check_alloc_ceilings.py [BENCH_eval.json]
 """
 import json
@@ -29,6 +37,10 @@ CEILINGS = {
     "BenchmarkCP_ProofN20Low": 500,
     "BenchmarkCP_TPCH31Nodes": 500,
     "BenchmarkAStar_ProofN20Full": 300,
+    # measured: 822 / 1186 / 15129 allocs/op
+    "BenchmarkPresolve_AnalyzeTPCH31": 3000,
+    "BenchmarkPresolve_TailBoundTPCDS": 4000,
+    "BenchmarkPresolve_CanonHashTPCDS": 25000,
 }
 
 
@@ -58,7 +70,8 @@ def main():
         print(
             "error: allocation ceilings exceeded — a per-node allocation is "
             "back in an exact prover's hot loop (see "
-            "internal/solver/cp/alloc_test.go)",
+            "internal/solver/cp/alloc_test.go), or a per-set allocation / "
+            "second canonicalization is back on the pre-solve path",
             file=sys.stderr,
         )
         return 1
